@@ -32,7 +32,7 @@
 //! A final `huge` tier exercises the out-of-core path at the scales the
 //! in-memory tiers cannot: each family is generated, spilled to an
 //! edge-list file, dropped, and solved through
-//! [`approx_mcm_streamed`] — ≥ 20M edges per family at `--full`, a ~2M
+//! [`Backend::solve_streamed`] — ≥ 20M edges per family at `--full`, a ~2M
 //! `huge-smoke` shape at `--quick`. Its rows record the analytic
 //! resident-memory high water (`peak_resident_bytes`), what
 //! materializing the parent would cost (`graph_bytes`), the sparsifier
@@ -41,7 +41,7 @@
 //! against the committed baseline by `tests/results_json.rs`.
 //!
 //! A `backends` section races the two sparsifier backends (`delta` vs
-//! `edcs` at β = 16, λ = 1/8) through the `MatchingSparsifier` trait:
+//! `edcs` at β = 16, λ = 1/8) through the one [`Backend::solve`] body:
 //! conformance first — valid matchings, each backend under its own
 //! claimed size bound, the two matching sizes mutually consistent under
 //! the claimed ratios — then best-of-reps wall-clock per family at one
@@ -58,15 +58,11 @@
 
 use rand::{rngs::StdRng, SeedableRng};
 use sparsimatch_bench::{scale_from_args, Scale, Violations};
-use sparsimatch_core::backend::{DeltaBackend, EdcsBackend, MatchingSparsifier};
+use sparsimatch_core::backend::Backend;
 use sparsimatch_core::edcs::EdcsParams;
 use sparsimatch_core::params::SparsifierParams;
-use sparsimatch_core::pipeline::{
-    approx_mcm_via_sparsifier, approx_mcm_via_sparsifier_with_scratch,
-    approx_mcm_via_sparsifier_with_scratch_metered,
-};
 use sparsimatch_core::scratch::PipelineScratch;
-use sparsimatch_core::stream_build::{approx_mcm_streamed, StreamBuildReport};
+use sparsimatch_core::stream_build::{RetryPolicy, StreamBuildReport};
 use sparsimatch_graph::csr::CsrGraph;
 use sparsimatch_graph::edge_stream::FileEdgeSource;
 use sparsimatch_graph::generators::{
@@ -207,7 +203,7 @@ fn steady_families() -> Vec<Family> {
 
 /// A `huge`-tier instance: generated, spilled to an edge-list file,
 /// dropped from memory, then solved entirely through the out-of-core
-/// streaming build ([`approx_mcm_streamed`]). The tier's claim is
+/// streaming build ([`Backend::solve_streamed`]). The tier's claim is
 /// Theorem 3.1's space story — `peak_resident_bytes < graph_bytes`, with
 /// a probe budget sublinear in `m` — so it reports bytes and probe
 /// counts, not thread scaling (this is also why the tier is benched at
@@ -294,23 +290,25 @@ fn bench_huge(
     // From here on the parent graph exists only as a file: the build's
     // resident set is what the report accounts for.
     drop(g);
+    let delta_backend = Backend::Delta(spec.params);
     let mut src = FileEdgeSource::open(&path).expect("huge edge list re-opens");
     let t0 = Instant::now();
-    let (result, report) =
-        approx_mcm_streamed(&mut src, &spec.params, 7).expect("streamed pipeline runs");
+    let (result, report) = delta_backend
+        .solve_streamed(&mut src, 7, &RetryPolicy::none(), None)
+        .expect("streamed pipeline runs");
     let solve_nanos = t0.elapsed().as_nanos() as u64;
 
     // The EDCS arm of the streamed backend race reuses the spilled file:
     // its fixpoint re-scans until convergence, so `edges_scanned` is
     // `passes × 2m` rather than the delta build's fixed `4m`.
-    let edcs_backend = EdcsBackend {
+    let edcs_backend = Backend::Edcs {
         params: EdcsParams::new(EDCS_BETA, EDCS_LAMBDA).expect("bench EDCS point is valid"),
         eps: spec.params.eps,
     };
     let mut src = FileEdgeSource::open(&path).expect("huge edge list re-opens for the EDCS arm");
     let t0 = Instant::now();
     let (edcs_result, edcs_report) = edcs_backend
-        .solve_streamed(&mut src, 7)
+        .solve_streamed(&mut src, 7, &RetryPolicy::none(), None)
         .expect("streamed EDCS runs");
     let edcs_nanos = t0.elapsed().as_nanos() as u64;
     std::fs::remove_file(&path).ok();
@@ -334,12 +332,9 @@ fn bench_huge(
             )
         },
     );
-    let delta_backend = DeltaBackend {
-        params: spec.params,
-    };
     let streamed = [
         StreamedRow {
-            backend: delta_backend.name(),
+            backend: delta_backend.kind().as_str(),
             params: delta_backend.params_summary(),
             solve_nanos,
             peak_resident_bytes: report.peak_resident_bytes,
@@ -350,7 +345,7 @@ fn bench_huge(
             passes: report.edges_scanned / (2 * edges as u64),
         },
         StreamedRow {
-            backend: edcs_backend.name(),
+            backend: edcs_backend.kind().as_str(),
             params: edcs_backend.params_summary(),
             solve_nanos: edcs_nanos,
             peak_resident_bytes: edcs_report.peak_resident_bytes,
@@ -425,7 +420,7 @@ struct Steady {
 type BestRep = (u64, WorkMeter, usize, usize, (u64, u64));
 
 fn bench_family(f: &Family, reps: usize, violations: &mut Violations) -> Vec<Run> {
-    let params = SparsifierParams::practical(f.beta, f.eps);
+    let backend = Backend::Delta(SparsifierParams::practical(f.beta, f.eps));
     let mut runs = Vec::new();
     let mut reference: Option<Vec<(u32, u32)>> = None;
     for &threads in &THREADS {
@@ -437,15 +432,9 @@ fn bench_family(f: &Family, reps: usize, violations: &mut Violations) -> Vec<Run
         for _ in 0..reps {
             let mut meter = WorkMeter::new();
             let alloc_before = alloc_totals();
-            let r = approx_mcm_via_sparsifier_with_scratch_metered(
-                &f.graph,
-                &params,
-                7,
-                threads,
-                &mut meter,
-                &mut scratch,
-            )
-            .expect("thread counts 1..=8 are always accepted");
+            let r = backend
+                .solve(&f.graph, 7, threads, Some(&mut meter), &mut scratch)
+                .expect("thread counts 1..=8 are always accepted");
             let alloc_after = alloc_totals();
             let total = meter.span_stats(keys::PIPELINE_TOTAL).total_nanos as u64;
             let pairs: Vec<(u32, u32)> = r.matching.pairs().map(|(u, v)| (u.0, v.0)).collect();
@@ -486,7 +475,7 @@ fn bench_family(f: &Family, reps: usize, violations: &mut Violations) -> Vec<Run
 }
 
 /// One backend's row in the in-memory race: best-of-reps through the
-/// [`MatchingSparsifier`] trait at one thread, with the backend's own
+/// one [`Backend::solve`] body at one thread, with the backend's own
 /// claims recorded next to what it measured so the conformance gate is
 /// checkable from the JSON alone.
 struct BackendRun {
@@ -511,14 +500,13 @@ struct BackendRun {
 /// backend pair cannot disagree more, so a larger gap means one of the
 /// claims is wrong.
 fn bench_backends(f: &Family, reps: usize, violations: &mut Violations) -> Vec<BackendRun> {
-    let delta = DeltaBackend {
-        params: SparsifierParams::practical(f.beta, f.eps),
-    };
-    let edcs = EdcsBackend {
-        params: EdcsParams::new(EDCS_BETA, EDCS_LAMBDA).expect("bench EDCS point is valid"),
-        eps: f.eps,
-    };
-    let backends: [&dyn MatchingSparsifier; 2] = [&delta, &edcs];
+    let backends = [
+        Backend::Delta(SparsifierParams::practical(f.beta, f.eps)),
+        Backend::Edcs {
+            params: EdcsParams::new(EDCS_BETA, EDCS_LAMBDA).expect("bench EDCS point is valid"),
+            eps: f.eps,
+        },
+    ];
     let n = f.graph.num_vertices();
     let mut rows = Vec::new();
     for b in backends {
@@ -527,16 +515,16 @@ fn bench_backends(f: &Family, reps: usize, violations: &mut Violations) -> Vec<B
         for _ in 0..reps {
             let mut meter = WorkMeter::new();
             let r = b
-                .solve_metered(&f.graph, 7, 1, &mut meter, &mut scratch)
+                .solve(&f.graph, 7, 1, Some(&mut meter), &mut scratch)
                 .expect("one thread is always accepted");
             violations.check(r.matching.is_valid_for(&f.graph), || {
-                format!("{}/{}: invalid matching on the parent", f.name, b.name())
+                format!("{}/{}: invalid matching on the parent", f.name, b.kind())
             });
             violations.check(r.sparsifier.edges <= b.claimed_size_bound(n), || {
                 format!(
                     "{}/{}: sparsifier {} edges exceeds its claimed bound {}",
                     f.name,
-                    b.name(),
+                    b.kind(),
                     r.sparsifier.edges,
                     b.claimed_size_bound(n)
                 )
@@ -551,7 +539,7 @@ fn bench_backends(f: &Family, reps: usize, violations: &mut Violations) -> Vec<B
         let (total, meter, matching_size, sparsifier_edges, (probes_total, _)) = best.unwrap();
         let span = |key: &str| meter.span_stats(key).total_nanos as u64;
         rows.push(BackendRun {
-            backend: b.name(),
+            backend: b.kind().as_str(),
             params: b.params_summary(),
             claimed_ratio: b.claimed_ratio(),
             claimed_size_bound: b.claimed_size_bound(n),
@@ -604,7 +592,7 @@ struct StreamedRow {
 }
 
 fn bench_steady(f: &Family, reps: usize, violations: &mut Violations) -> Steady {
-    let params = SparsifierParams::practical(f.beta, f.eps);
+    let backend = Backend::Delta(SparsifierParams::practical(f.beta, f.eps));
     let seed = 7;
 
     // Cold: every solve pays for a fresh arena (allocation, first-touch
@@ -618,27 +606,32 @@ fn bench_steady(f: &Family, reps: usize, violations: &mut Violations) -> Steady 
         trim_heap();
         let a0 = alloc_totals();
         let t0 = Instant::now();
-        let r = approx_mcm_via_sparsifier(&f.graph, &params, seed, 1)
-            .expect("one thread is always accepted");
+        let size = backend
+            .solve(&f.graph, seed, 1, None, &mut PipelineScratch::new())
+            .expect("one thread is always accepted")
+            .matching
+            .len();
         let nanos = t0.elapsed().as_nanos() as u64;
         let a1 = alloc_totals();
         if nanos < cold_best {
             cold_best = nanos;
             cold_alloc = a1.0 - a0.0;
         }
-        cold_size = r.matching.len();
+        cold_size = size;
     }
 
     // Warm: one arena, warmed by a single untimed solve.
     let mut scratch = PipelineScratch::new();
-    approx_mcm_via_sparsifier_with_scratch(&f.graph, &params, seed, 1, &mut scratch)
+    backend
+        .solve(&f.graph, seed, 1, None, &mut scratch)
         .expect("one thread is always accepted");
     let mut warm_best = u64::MAX;
     let mut warm_alloc = 0u64;
     for _ in 0..reps {
         let a0 = alloc_totals();
         let t0 = Instant::now();
-        let r = approx_mcm_via_sparsifier_with_scratch(&f.graph, &params, seed, 1, &mut scratch)
+        let r = backend
+            .solve(&f.graph, seed, 1, None, &mut scratch)
             .expect("one thread is always accepted");
         let nanos = t0.elapsed().as_nanos() as u64;
         let a1 = alloc_totals();

@@ -30,10 +30,9 @@
 use rand::{rngs::StdRng, SeedableRng};
 use sparsimatch_bench::table::{f3, Table};
 use sparsimatch_bench::{results_dir, scale_from_args, Scale, Violations};
+use sparsimatch_core::backend::Backend;
 use sparsimatch_core::params::SparsifierParams;
-use sparsimatch_core::stream_build::{
-    approx_mcm_streamed, approx_mcm_streamed_with_retry, RetryPolicy,
-};
+use sparsimatch_core::stream_build::RetryPolicy;
 use sparsimatch_distsim::algorithms::pipeline::{
     distributed_maximal_baseline, distributed_maximal_baseline_faulty, DistributedOutcome,
 };
@@ -219,8 +218,10 @@ fn io_fault_arm(
     violations: &mut Violations,
 ) -> Vec<IoRateSummary> {
     let policy = RetryPolicy::attempts(IO_HORIZON as u32 + 1);
-    let (clean, clean_report) =
-        approx_mcm_streamed(&mut g.clone(), params, ALGO_SEED).expect("fault-free streamed build");
+    let delta = Backend::Delta(*params);
+    let (clean, clean_report) = delta
+        .solve_streamed(&mut g.clone(), ALGO_SEED, &RetryPolicy::none(), None)
+        .expect("fault-free streamed build");
     let clean_pairs: Vec<_> = clean.matching.pairs().collect();
 
     let mut table = Table::new(&["p", "|M|", "identical", "mean retries", "mean faults"]);
@@ -244,16 +245,15 @@ fn io_fault_arm(
         for fault_seed in 0..seeds_per_rate {
             let plan = IoFaultPlan::new(fault_seed ^ 0x10FA, rates).with_horizon(IO_HORIZON);
             let mut src = FaultyEdgeSource::new(g.clone(), plan);
-            let (res, report) =
-                match approx_mcm_streamed_with_retry(&mut src, params, ALGO_SEED, &policy) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        violations.check(false, || {
-                            format!("recoverable io plan (p {p:.2}, seed {fault_seed}) failed: {e}")
-                        });
-                        continue;
-                    }
-                };
+            let (res, report) = match delta.solve_streamed(&mut src, ALGO_SEED, &policy, None) {
+                Ok(r) => r,
+                Err(e) => {
+                    violations.check(false, || {
+                        format!("recoverable io plan (p {p:.2}, seed {fault_seed}) failed: {e}")
+                    });
+                    continue;
+                }
+            };
             let same = res.matching.pairs().collect::<Vec<_>>() == clean_pairs
                 && res.sparsifier == clean.sparsifier
                 && res.probes == clean.probes

@@ -16,8 +16,9 @@
 use rand::{rngs::StdRng, SeedableRng};
 use sparsimatch_bench::table::{f3, Table};
 use sparsimatch_bench::{scale_from_args, Scale, Violations};
+use sparsimatch_core::backend::Backend;
 use sparsimatch_core::params::SparsifierParams;
-use sparsimatch_core::pipeline::approx_mcm_via_sparsifier;
+use sparsimatch_core::scratch::PipelineScratch;
 use sparsimatch_graph::adjacency::CountingOracle;
 use sparsimatch_graph::generators::{clique_union, CliqueUnionConfig};
 use sparsimatch_matching::assadi_solomon::{assadi_solomon_maximal, AsConfig};
@@ -65,7 +66,10 @@ fn main() {
         // (1) This paper.
         let params = SparsifierParams::practical(beta, eps);
         let t0 = Instant::now();
-        let r = approx_mcm_via_sparsifier(&g, &params, n as u64, 1).unwrap();
+        let mut scratch = PipelineScratch::new();
+        let r = Backend::Delta(params)
+            .solve(&g, n as u64, 1, None, &mut scratch)
+            .unwrap();
         let dt = t0.elapsed().as_secs_f64() * 1e3;
         let ratio = exact as f64 / r.matching.len().max(1) as f64;
         violations.check(ratio <= 1.0 + eps, || {

@@ -16,13 +16,13 @@
 //!   sequential pipeline on the same seed, zero-fault transparency of the
 //!   faulty network (byte-identical outcome), and validity under a seeded
 //!   fault plan.
-//! * **scratch** — the warm-scratch pipeline
-//!   ([`approx_mcm_via_sparsifier_with_scratch`]) vs the one-shot
-//!   cold path, byte-for-byte across matching pairs, sparsifier stats,
+//! * **scratch** — the warm-scratch pipeline ([`Backend::solve`]
+//!   through the sweep's shared arena) vs a fresh-arena cold run,
+//!   byte-for-byte across matching pairs, sparsifier stats,
 //!   probes, and augmentation stats, at several thread counts and on a
 //!   deliberately dirty reused arena.
 //! * **stream** — the out-of-core streamed pipeline
-//!   ([`approx_mcm_streamed`]) vs the in-memory one, byte-for-byte on
+//!   ([`Backend::solve_streamed`]) vs the in-memory one, byte-for-byte on
 //!   the same fingerprint, plus the streaming report's own invariants
 //!   (`sparsifier_bytes ≤ peak_resident_bytes`, two passes = `4m`
 //!   half-edge visits). The graph streams from its own CSR — the
@@ -35,13 +35,11 @@
 //!   the work accounting, and an unrecoverable plan must surface a typed
 //!   [`StreamBuildError`] — never a panic, never a silently wrong
 //!   sparsifier.
-//! * **backend** — the [`MatchingSparsifier`] contract: the `delta`
-//!   backend behind the trait is byte-identical to the direct pipeline
-//!   at `t ∈ {1, 2, 4}` (the tentpole's zero-behavior-change pin), and
-//!   *every* backend's self-declared claims hold — the built subgraph
-//!   respects its claimed size bound and local invariants (for EDCS,
-//!   Properties A and B plus in-memory/streamed build identity), and the
-//!   solved matching is within the claimed ratio of exact blossom.
+//! * **backend** — every [`Backend`]'s self-declared claims hold: the
+//!   built subgraph respects its claimed size bound and local invariants
+//!   (for EDCS, Properties A and B plus in-memory/streamed build
+//!   identity), and the solved matching is within the claimed ratio of
+//!   exact blossom. Cross-thread identity is the scratch oracle's job.
 //!
 //! A whole seed sweep shares one [`PipelineScratch`] (see
 //! [`OracleKind::check_with_scratch`]), so every oracle's sequential
@@ -54,16 +52,11 @@
 use crate::instance::{CheckConfig, CheckInstance};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sparsimatch_core::backend::{BackendKind, DeltaBackend, EdcsBackend, MatchingSparsifier};
+use sparsimatch_core::backend::{Backend, BackendKind};
 use sparsimatch_core::edcs::{build_edcs, build_edcs_streamed, edcs_violation, EdcsParams};
-use sparsimatch_core::pipeline::{
-    approx_mcm_via_sparsifier, approx_mcm_via_sparsifier_with_scratch,
-};
 use sparsimatch_core::scratch::PipelineScratch;
 use sparsimatch_core::sparsifier::build_sparsifier;
-use sparsimatch_core::stream_build::{
-    approx_mcm_streamed, approx_mcm_streamed_with_retry, RetryPolicy, StreamBuildError,
-};
+use sparsimatch_core::stream_build::{RetryPolicy, StreamBuildError};
 use sparsimatch_distsim::algorithms::pipeline::{
     distributed_approx_mcm, distributed_approx_mcm_faulty, distributed_approx_mcm_sharded,
     DistributedOutcome,
@@ -232,7 +225,7 @@ fn check_static(
     let exact = maximum_matching(&g);
 
     // Theorem 3.1: the end-to-end pipeline is a valid (1+ε)-approximation.
-    let r = match approx_mcm_via_sparsifier_with_scratch(&g, &params, inst.algo_seed, 1, scratch) {
+    let r = match Backend::Delta(params).solve(&g, inst.algo_seed, 1, None, scratch) {
         Ok(r) => r,
         Err(e) => {
             return Some(Violation::new(
@@ -420,8 +413,7 @@ fn check_distsim(
     let exact = maximum_matching(&g).len();
 
     // Sequential pipeline on the same seed — the comparison baseline.
-    let seq = match approx_mcm_via_sparsifier_with_scratch(&g, &params, inst.algo_seed, 1, scratch)
-    {
+    let seq = match Backend::Delta(params).solve(&g, inst.algo_seed, 1, None, scratch) {
         Ok(r) => r.matching.clone(),
         Err(e) => {
             return Some(Violation::new(
@@ -596,10 +588,16 @@ fn check_scratch(
 ) -> Option<Violation> {
     let _ = cfg; // the identity invariant has no tunable bound
     let g: CsrGraph = inst.graph();
-    let params = inst.params();
+    let delta = Backend::Delta(inst.params());
     for threads in SCRATCH_THREADS {
-        let cold = match approx_mcm_via_sparsifier(&g, &params, inst.algo_seed, threads) {
-            Ok(r) => pipeline_fingerprint(&r),
+        let cold = match delta.solve(
+            &g,
+            inst.algo_seed,
+            threads,
+            None,
+            &mut PipelineScratch::new(),
+        ) {
+            Ok(r) => pipeline_fingerprint(r),
             Err(e) => {
                 return Some(Violation::new(
                     "pipeline-error",
@@ -610,13 +608,7 @@ fn check_scratch(
         // Two warm runs through the (already dirty) shared arena: the
         // first may still grow buffers, the second is pure steady state.
         for pass in ["warm", "steady"] {
-            let warm = match approx_mcm_via_sparsifier_with_scratch(
-                &g,
-                &params,
-                inst.algo_seed,
-                threads,
-                scratch,
-            ) {
+            let warm = match delta.solve(&g, inst.algo_seed, threads, None, scratch) {
                 Ok(r) => pipeline_fingerprint(r),
                 Err(e) => {
                     return Some(Violation::new(
@@ -650,29 +642,29 @@ fn check_stream(
 ) -> Option<Violation> {
     let _ = cfg; // byte identity has no tunable bound
     let mut g: CsrGraph = inst.graph();
-    let params = inst.params();
+    let delta = Backend::Delta(inst.params());
     // In-memory reference through the shared warm arena — the scratch
     // oracle already certifies this equals the cold path.
-    let reference =
-        match approx_mcm_via_sparsifier_with_scratch(&g, &params, inst.algo_seed, 1, scratch) {
-            Ok(r) => pipeline_fingerprint(r),
-            Err(e) => {
-                return Some(Violation::new(
-                    "pipeline-error",
-                    format!("in-memory pipeline rejected: {e}"),
-                ))
-            }
-        };
-    let (n, m) = (g.num_vertices(), g.num_edges());
-    let (streamed, report) = match approx_mcm_streamed(&mut g, &params, inst.algo_seed) {
-        Ok(r) => r,
+    let reference = match delta.solve(&g, inst.algo_seed, 1, None, scratch) {
+        Ok(r) => pipeline_fingerprint(r),
         Err(e) => {
             return Some(Violation::new(
-                "stream-error",
-                format!("streamed pipeline rejected its own CSR stream: {e}"),
+                "pipeline-error",
+                format!("in-memory pipeline rejected: {e}"),
             ))
         }
     };
+    let (n, m) = (g.num_vertices(), g.num_edges());
+    let (streamed, report) =
+        match delta.solve_streamed(&mut g, inst.algo_seed, &RetryPolicy::none(), None) {
+            Ok(r) => r,
+            Err(e) => {
+                return Some(Violation::new(
+                    "stream-error",
+                    format!("streamed pipeline rejected its own CSR stream: {e}"),
+                ))
+            }
+        };
     if pipeline_fingerprint(&streamed) != reference {
         return Some(Violation::new(
             "stream-identity",
@@ -735,33 +727,34 @@ fn io_stress_plan(inst: &CheckInstance) -> IoFaultPlan {
 
 fn check_chaos_stream(inst: &CheckInstance, cfg: &CheckConfig) -> Option<Violation> {
     let _ = cfg; // byte identity has no tunable bound
-    let params = inst.params();
+    let delta = Backend::Delta(inst.params());
     // Fault-free streamed baseline, from the instance's own CSR.
     let mut clean_src = inst.graph();
-    let (clean, clean_report) = match approx_mcm_streamed(&mut clean_src, &params, inst.algo_seed) {
-        Ok(r) => r,
-        Err(e) => {
-            return Some(Violation::new(
-                "stream-error",
-                format!("fault-free streamed pipeline rejected its own CSR stream: {e}"),
-            ))
-        }
-    };
+    let (clean, clean_report) =
+        match delta.solve_streamed(&mut clean_src, inst.algo_seed, &RetryPolicy::none(), None) {
+            Ok(r) => r,
+            Err(e) => {
+                return Some(Violation::new(
+                    "stream-error",
+                    format!("fault-free streamed pipeline rejected its own CSR stream: {e}"),
+                ))
+            }
+        };
 
     // Recoverable chaos: a seeded plan bounded by CHAOS_HORIZON plus a
     // retry budget that covers it must converge to the identical result.
     let mut faulty = FaultyEdgeSource::new(inst.graph(), io_stress_plan(inst));
     let policy = RetryPolicy::attempts(CHAOS_HORIZON as u32 + 1);
-    let (recovered, report) =
-        match approx_mcm_streamed_with_retry(&mut faulty, &params, inst.algo_seed, &policy) {
-            Ok(r) => r,
-            Err(e) => {
-                return Some(Violation::new(
-                    "chaos-recovery",
-                    format!("recoverable fault plan exhausted the retry budget: {e}"),
-                ))
-            }
-        };
+    let (recovered, report) = match delta.solve_streamed(&mut faulty, inst.algo_seed, &policy, None)
+    {
+        Ok(r) => r,
+        Err(e) => {
+            return Some(Violation::new(
+                "chaos-recovery",
+                format!("recoverable fault plan exhausted the retry budget: {e}"),
+            ))
+        }
+    };
     if pipeline_fingerprint(&recovered) != pipeline_fingerprint(&clean) {
         return Some(Violation::new(
             "chaos-identity",
@@ -808,7 +801,7 @@ fn check_chaos_stream(inst: &CheckInstance, cfg: &CheckConfig) -> Option<Violati
         },
     );
     let mut doomed = FaultyEdgeSource::new(inst.graph(), hard);
-    match approx_mcm_streamed_with_retry(&mut doomed, &params, inst.algo_seed, &policy) {
+    match delta.solve_streamed(&mut doomed, inst.algo_seed, &policy, None) {
         Err(StreamBuildError::RetriesExhausted { pass: 1, .. }) => None,
         Err(e) => Some(Violation::new(
             "chaos-typed-failure",
@@ -849,57 +842,22 @@ fn check_backend(
     // full rotation and filtered (`--backend`) modes, so a violation
     // found in a filtered sweep replays identically without the filter.
     if backend_selected(cfg, BackendKind::Delta) {
-        let backend = DeltaBackend {
-            params: inst.params(),
-        };
-        // The tentpole pin: the trait is a zero-behavior-change seam.
-        for threads in SCRATCH_THREADS {
-            let direct =
-                match approx_mcm_via_sparsifier(&g, &backend.params, inst.algo_seed, threads) {
-                    Ok(r) => pipeline_fingerprint(&r),
-                    Err(e) => {
-                        return Some(Violation::new(
-                            "pipeline-error",
-                            format!("direct pipeline rejected {threads} threads: {e}"),
-                        ))
-                    }
-                };
-            let traited = match backend.solve(&g, inst.algo_seed, threads, scratch) {
-                Ok(r) => pipeline_fingerprint(r),
-                Err(e) => {
-                    return Some(Violation::new(
-                        "pipeline-error",
-                        format!("delta backend rejected {threads} threads: {e}"),
-                    ))
-                }
-            };
-            if traited != direct {
-                return Some(Violation::new(
-                    "backend-delta-fingerprint",
-                    format!(
-                        "delta backend diverged from the direct pipeline at {threads} threads: \
-                         {} vs {} matched pairs (family {}, n = {n})",
-                        traited.0.len(),
-                        direct.0.len(),
-                        inst.family
-                    ),
-                ));
-            }
-        }
-        if let Some(v) = certify_claims(&backend, &g, inst, exact) {
+        let backend = Backend::Delta(inst.params());
+        if let Some(v) = certify_claims(&backend, &g, inst, exact, scratch) {
             return Some(v);
         }
     }
 
     if backend_selected(cfg, BackendKind::Edcs) {
-        let backend = EdcsBackend {
-            params: edcs_oracle_params(inst),
+        let params = edcs_oracle_params(inst);
+        let backend = Backend::Edcs {
+            params,
             eps: inst.eps,
         };
         // Local invariants of the built subgraph: H ⊆ G, Property A,
         // Property B — checked directly, not trusted from stats.
-        let (h, _) = build_edcs(&g, &backend.params);
-        if let Some(msg) = edcs_violation(&g, &h, &backend.params) {
+        let (h, _) = build_edcs(&g, &params);
+        if let Some(msg) = edcs_violation(&g, &h, &params) {
             return Some(Violation::new(
                 "edcs-invariant",
                 format!(
@@ -911,7 +869,7 @@ fn check_backend(
         }
         // The out-of-core build must be the identical fixpoint.
         let mut src = g.clone();
-        match build_edcs_streamed(&mut src, &backend.params) {
+        match build_edcs_streamed(&mut src, &params) {
             Ok((h_streamed, ..)) => {
                 let mem: Vec<(u32, u32)> = h.edges().map(|(_, u, v)| (u.0, v.0)).collect();
                 let str_edges: Vec<(u32, u32)> =
@@ -936,7 +894,7 @@ fn check_backend(
                 ))
             }
         }
-        if let Some(v) = certify_claims(&backend, &g, inst, exact) {
+        if let Some(v) = certify_claims(&backend, &g, inst, exact, scratch) {
             return Some(v);
         }
     }
@@ -947,10 +905,11 @@ fn check_backend(
 /// (size bound, approximation ratio), certify against ground truth. A
 /// backend overstating its own theory is a shrinkable counterexample.
 fn certify_claims(
-    backend: &dyn MatchingSparsifier,
+    backend: &Backend,
     g: &CsrGraph,
     inst: &CheckInstance,
     exact: usize,
+    scratch: &mut PipelineScratch,
 ) -> Option<Violation> {
     let n = g.num_vertices();
     let h = backend.build(g, inst.algo_seed);
@@ -959,7 +918,7 @@ fn certify_claims(
             "backend-size",
             format!(
                 "{} backend built {} edges > its claimed bound {} (family {}, n = {n}, {})",
-                backend.name(),
+                backend.kind(),
                 h.num_edges(),
                 backend.claimed_size_bound(n),
                 inst.family,
@@ -967,13 +926,12 @@ fn certify_claims(
             ),
         ));
     }
-    let mut fresh = PipelineScratch::new();
-    let r = match backend.solve(g, inst.algo_seed, 1, &mut fresh) {
+    let r = match backend.solve(g, inst.algo_seed, 1, None, scratch) {
         Ok(r) => r,
         Err(e) => {
             return Some(Violation::new(
                 "pipeline-error",
-                format!("{} backend rejected 1 thread: {e}", backend.name()),
+                format!("{} backend rejected 1 thread: {e}", backend.kind()),
             ))
         }
     };
@@ -982,7 +940,7 @@ fn certify_claims(
             "backend-validity",
             format!(
                 "{} backend output is not a valid matching of the input graph",
-                backend.name()
+                backend.kind()
             ),
         ));
     }
@@ -993,7 +951,7 @@ fn certify_claims(
             format!(
                 "exact MCM {exact} > claimed {ratio:.4} x {} backend matching {} + \
                  {BACKEND_ABS_SLACK} (family {}, n = {n}, {})",
-                backend.name(),
+                backend.kind(),
                 r.matching.len(),
                 inst.family,
                 backend.params_summary()

@@ -7,9 +7,9 @@ use crate::args::{
 };
 use crate::error::CliError;
 use rand::{rngs::StdRng, SeedableRng};
-use sparsimatch_core::edcs::{approx_mcm_via_edcs_with_scratch_metered, EdcsParams};
+use sparsimatch_core::backend::Backend;
+use sparsimatch_core::edcs::EdcsParams;
 use sparsimatch_core::params::SparsifierParams;
-use sparsimatch_core::pipeline::approx_mcm_via_sparsifier_metered;
 use sparsimatch_core::scratch::PipelineScratch;
 use sparsimatch_core::sparsifier::{
     build_sparsifier_parallel_metered, ThreadCountError, MAX_THREADS,
@@ -287,44 +287,18 @@ pub fn do_match(args: MatchArgs, out: Out<'_>) -> Result<(), CliError> {
         MatchAlgo::Sparsify { beta, eps } => {
             require_beta("--beta", beta)?;
             require_eps("--eps", eps)?;
-            let params = SparsifierParams::practical(beta, eps);
-            // One seeded pipeline for every thread count: `--threads`
-            // accelerates marking, extraction, and matching without
-            // changing a single output byte.
-            let r = meter
-                .time("match", |m| {
-                    approx_mcm_via_sparsifier_metered(&g, &params, args.seed, args.threads, m)
-                })
-                .map_err(CliError::from)?;
-            writeln!(out, "probes: {} (m = {})", r.probes.total(), g.num_edges())
-                .map_err(io_err)?;
-            ("sparsify+match", r.matching)
+            let backend = Backend::Delta(SparsifierParams::practical(beta, eps));
+            let matching = solve_backend(&backend, &g, &args, &mut meter, out)?;
+            ("sparsify+match", matching)
         }
         MatchAlgo::Edcs { beta, lambda, eps } => {
             require_eps("--eps", eps)?;
             let lambda = lambda.unwrap_or_else(|| EdcsParams::default_lambda(beta));
             let params =
                 EdcsParams::new(beta, lambda).map_err(|e| CliError::InvalidParam(e.to_string()))?;
-            // EDCS construction is deterministic (it ignores --seed), so
-            // the output — like delta's — is identical for every thread
-            // count; --threads only bounds the accepted range here.
-            let mut scratch = PipelineScratch::new();
-            let r = meter
-                .time("match", |m| {
-                    approx_mcm_via_edcs_with_scratch_metered(
-                        &g,
-                        &params,
-                        eps,
-                        args.threads,
-                        m,
-                        &mut scratch,
-                    )
-                    .cloned()
-                })
-                .map_err(CliError::from)?;
-            writeln!(out, "probes: {} (m = {})", r.probes.total(), g.num_edges())
-                .map_err(io_err)?;
-            ("edcs+match", r.matching)
+            let matching =
+                solve_backend(&Backend::Edcs { params, eps }, &g, &args, &mut meter, out)?;
+            ("edcs+match", matching)
         }
     };
     writeln!(out, "algorithm: {label}").map_err(io_err)?;
@@ -345,6 +319,28 @@ pub fn do_match(args: MatchArgs, out: Out<'_>) -> Result<(), CliError> {
         write_metrics_json(path, doc, &mut meter)?;
     }
     Ok(())
+}
+
+/// One sparsify-and-match run for `match`, printing the probe line.
+/// Both backends are deterministic for a fixed `--seed` (EDCS ignores
+/// it), so `--threads` changes the wall clock, never an output byte.
+fn solve_backend(
+    backend: &Backend,
+    g: &CsrGraph,
+    args: &MatchArgs,
+    meter: &mut WorkMeter,
+    out: Out<'_>,
+) -> Result<Matching, CliError> {
+    let mut scratch = PipelineScratch::new();
+    let r = meter
+        .time("match", |m| {
+            backend
+                .solve(g, args.seed, args.threads, Some(m), &mut scratch)
+                .cloned()
+        })
+        .map_err(CliError::from)?;
+    writeln!(out, "probes: {} (m = {})", r.probes.total(), g.num_edges()).map_err(io_err)?;
+    Ok(r.matching)
 }
 
 /// `sparsimatch distsim`.

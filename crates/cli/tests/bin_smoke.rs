@@ -318,6 +318,84 @@ fn edcs_backend_matches_end_to_end() {
     std::fs::remove_file(&file).ok();
 }
 
+/// The `meter.counters` of one `match` per backend, pinned key for key
+/// and value for value. Each backend emits exactly its own keys: EDCS
+/// reads no degrees and draws no randomness, so it has no
+/// `adjacency.degree_probes` or `sampler.*` counters. The delta values
+/// are the same at every `--threads`.
+#[test]
+fn match_metrics_counters_are_pinned_per_backend() {
+    const DELTA: &str = "adjacency.degree_probes=1600 adjacency.neighbor_probes=72800 \
+        matching.augmentations=1 matching.edge_visits=304 matching.searches=10 \
+        sampler.overlay_writes=72800 sampler.rng_draws=72800 sparsifier.edges=63199";
+    const EDCS: &str = "adjacency.neighbor_probes=2228992 matching.augmentations=1 \
+        matching.edge_visits=88 matching.searches=5 sparsifier.edges=3147";
+
+    let dir = std::env::temp_dir().join(format!("sparsimatch-bin-golden-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("golden.el");
+    let metrics = dir.join("golden.json");
+    let out = bin()
+        .args([
+            "generate",
+            "clique-union:2:200",
+            "--n",
+            "800",
+            "--out",
+            file.to_str().unwrap(),
+        ])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{out:?}");
+
+    // `alloc.*` totals appear only under `--features alloc-count` and are
+    // process-wide, so they are not part of the pin.
+    let counters = |flags: &[&str]| -> String {
+        let out = bin()
+            .args(["match", file.to_str().unwrap()])
+            .args(flags)
+            .args(["--metrics-json", metrics.to_str().unwrap()])
+            .env_remove("SPARSIMATCH_METRICS_TIMINGS")
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{out:?}");
+        let text = std::fs::read_to_string(&metrics).unwrap();
+        let doc = sparsimatch_obs::Json::parse(&text).unwrap();
+        let input = doc.get("input").unwrap();
+        assert_eq!(input.get("edges").unwrap().as_u64(), Some(139_312));
+        let Some(sparsimatch_obs::Json::Object(members)) =
+            doc.get("meter").unwrap().get("counters")
+        else {
+            panic!("meter.counters is not an object: {text}");
+        };
+        members
+            .iter()
+            .filter(|(k, _)| !k.starts_with("alloc."))
+            .map(|(k, v)| format!("{k}={}", v.as_u64().unwrap()))
+            .collect::<Vec<_>>()
+            .join(" ")
+    };
+
+    for threads in ["1", "2"] {
+        let flags = [
+            "--beta",
+            "2",
+            "--eps",
+            "0.3",
+            "--seed",
+            "7",
+            "--threads",
+            threads,
+        ];
+        assert_eq!(counters(&flags), DELTA, "delta at --threads {threads}");
+    }
+    assert_eq!(counters(&["--backend", "edcs", "--eps", "0.3"]), EDCS);
+
+    for p in [&file, &metrics] {
+        std::fs::remove_file(p).ok();
+    }
+}
+
 #[test]
 fn backend_parameter_bounds_exit_seven() {
     let dir = std::env::temp_dir().join(format!("sparsimatch-bin-bparam-{}", std::process::id()));

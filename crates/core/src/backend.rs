@@ -1,48 +1,97 @@
-//! The backend family: a common contract over interchangeable matching
-//! sparsifiers.
+//! The backend family: Theorem 3.1's sparsify-then-match pipeline over
+//! interchangeable matching sparsifiers.
 //!
-//! A *backend* packages one sparsification scheme — how to build the
-//! sparse subgraph `H ⊆ G`, in memory or from an edge stream — together
-//! with the two quantitative **claims** its theory makes: a worst-case
-//! size bound on `|E(H)|` and an end-to-end approximation ratio for the
-//! matching computed through it. The claims are load-bearing, not
-//! documentation: the `backend` check oracle certifies both against the
-//! exact blossom solver per sweep seed, so a backend that violates its
-//! own claim is a shrinkable counterexample, and `results/RESULTS.md`
-//! only races backends that passed that conformance gate first.
+//! Every solve is the same three stages — **mark** the edges of a
+//! sparse subgraph `H ⊆ G`, **extract** `H` as a CSR, **match** on `H`
+//! with greedy initialization plus bounded augmentation. Only the mark
+//! step depends on the sparsifier, so [`Backend`] is a closed enum with
+//! one solve body ([`Backend::solve`]) and one streamed solve
+//! ([`Backend::solve_streamed`]); the variant picks the mark step and the
+//! two quantitative **claims** its theory makes: a worst-case size bound
+//! on `|E(H)|` and an end-to-end approximation ratio. The claims are
+//! load-bearing, not documentation: the `backend` check oracle certifies
+//! both against the exact blossom solver per sweep seed, so a backend
+//! that violates its own claim is a shrinkable counterexample, and
+//! `results/RESULTS.md` only races backends that passed that gate first.
 //!
 //! Two backends ship:
 //!
-//! - [`DeltaBackend`] (`delta`): the paper's `G_Δ` pipeline, verbatim —
-//!   every solve delegates to the exact same entry points the
-//!   un-traited API exposes, so results are byte-identical to
-//!   [`approx_mcm_via_sparsifier`](crate::pipeline::approx_mcm_via_sparsifier)
-//!   (pinned by fingerprint test across thread counts). Claims: `1+ε`
+//! - [`Backend::Delta`] (`delta`): the paper's `G_Δ`. Claims: `1+ε`
 //!   ratio (Theorem 3.1), size `n · 2Δ_stage` where `Δ_stage` comes from
 //!   [`stage_params`] — the Δ the pipeline *actually* marks with.
-//! - [`EdcsBackend`] (`edcs`): the Assadi–Bernstein edge-degree
+//! - [`Backend::Edcs`] (`edcs`): the Assadi–Bernstein edge-degree
 //!   constrained subgraph (arXiv:1811.02009). Claims: `(3/2)(1+λ)(1+ε)`
 //!   ratio (the `3/2` is tight even for bipartite graphs,
 //!   arXiv:2406.07630), size `n(β−1)/2`. Deterministic and
 //!   randomness-free, but construction reads every edge — the opposite
 //!   trade-off from `G_Δ`'s sublinear randomized marking.
+//!
+//! All three stages honor the requested thread count and are
+//! deterministic for a fixed seed: the output is byte-identical for any
+//! accepted thread count (marking uses per-vertex seeded RNG streams,
+//! extraction produces the sequential CSR layout, and the parallel greedy
+//! computes the lexicographically-first maximal matching).
 
-use crate::edcs::{
-    approx_mcm_edcs_streamed, approx_mcm_via_edcs_with_scratch,
-    approx_mcm_via_edcs_with_scratch_metered, build_edcs, EdcsParams,
-};
+use crate::edcs::{build_edcs, build_edcs_streamed, mark_edcs_into, EdcsParams};
 use crate::params::SparsifierParams;
-use crate::pipeline::{
-    approx_mcm_via_sparsifier_with_scratch, approx_mcm_via_sparsifier_with_scratch_metered,
-    stage_params, PipelineResult,
-};
+use crate::pipeline::{approx_mcm_on_sparsifier, stage_eps, stage_params, PipelineResult};
 use crate::scratch::PipelineScratch;
-use crate::sparsifier::{build_sparsifier_parallel, ThreadCountError};
-use crate::stream_build::{approx_mcm_streamed, StreamBuildReport};
-use sparsimatch_graph::csr::CsrGraph;
+use crate::sparsifier::{
+    build_sparsifier_parallel, mark_edges_parallel, mark_edges_sequential_into, ThreadCountError,
+    MAX_THREADS,
+};
+use crate::stream_build::{
+    build_sparsifier_streamed, RetryPolicy, StreamBuildError, StreamBuildReport,
+};
+use sparsimatch_graph::adjacency::ProbeCounts;
+use sparsimatch_graph::csr::{from_marked_edges, CsrGraph};
 use sparsimatch_graph::edge_stream::EdgeStreamSource;
-use sparsimatch_graph::io::ReadError;
-use sparsimatch_obs::WorkMeter;
+use sparsimatch_matching::bounded_aug::{
+    eliminate_augmenting_paths_up_to_with, max_path_len_for_eps,
+};
+use sparsimatch_matching::greedy::{
+    greedy_maximal_matching_into, greedy_maximal_matching_parallel,
+};
+use sparsimatch_obs::{keys, WorkMeter};
+use std::sync::OnceLock;
+use std::time::Instant;
+
+/// Below this many *input* edges the mark stage ignores the requested
+/// thread count and runs sequentially: worker spawn plus shard merge
+/// overhead exceeds the marking work itself.
+const MARK_PARALLEL_CUTOFF: usize = 1 << 17;
+
+/// Below this many *sparsifier* edges the match stage runs sequentially.
+/// The committed bench baseline showed the parallel greedy's local-minima
+/// rounds an order of magnitude slower than the sequential scan on an
+/// `O(n·Δ)`-sized sparsifier (clique family: 235µs at one thread vs 2.6ms
+/// at two), so small extracted graphs always take the sequential path.
+const MATCH_PARALLEL_CUTOFF: usize = 1 << 17;
+
+/// Whether this host can run more than one worker at once (cached). On a
+/// single-core host every stage takes its sequential path regardless of
+/// the requested thread count — the output is byte-identical either way,
+/// so this is purely a latency decision.
+fn host_has_parallelism() -> bool {
+    static CACHE: OnceLock<bool> = OnceLock::new();
+    *CACHE.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|p| p.get() > 1)
+            .unwrap_or(false)
+    })
+}
+
+/// Adaptive dispatch: the worker count a stage should actually use for
+/// `work_items` units of work, given the caller asked for `requested`
+/// threads. Every stage is thread-count invariant, so falling back to one
+/// worker never changes the output — only the wall clock.
+fn stage_threads(requested: usize, work_items: usize, cutoff: usize) -> usize {
+    if requested == 1 || !host_has_parallelism() || work_items < cutoff {
+        1
+    } else {
+        requested
+    }
+}
 
 /// Which backend to run — the value the CLI's `--backend` flag, the
 /// serve wire protocol's `backend` field, and the check harness's
@@ -84,223 +133,317 @@ impl std::fmt::Display for BackendKind {
     }
 }
 
-/// A matching sparsifier backend: build `H ⊆ G`, solve through it, and
-/// state the claims the check oracle certifies. See the
-/// [module docs](self) for the contract's role.
+/// A configured matching sparsifier: build `H ⊆ G`, solve through it,
+/// and state the claims the check oracle certifies. See the
+/// [module docs](self).
 ///
-/// Object-safe: the CLI, serve engine, and benchmark all hold
-/// `&dyn MatchingSparsifier` and dispatch per run.
-pub trait MatchingSparsifier {
-    /// The backend's stable name, as reported in benchmark JSON and
-    /// counterexample documents (`"delta"` / `"edcs"`).
-    fn name(&self) -> &'static str;
+/// # Examples
+///
+/// A clique has neighborhood independence β = 1 and a perfect matching;
+/// the `delta` backend returns a valid matching of the *original* graph
+/// within the end-to-end `(1+ε)` target:
+///
+/// ```
+/// use sparsimatch_core::backend::Backend;
+/// use sparsimatch_core::params::SparsifierParams;
+/// use sparsimatch_core::scratch::PipelineScratch;
+/// use sparsimatch_graph::generators::clique;
+///
+/// let g = clique(40); // exact MCM = 20
+/// let backend = Backend::Delta(SparsifierParams::practical(1, 0.5));
+/// let mut scratch = PipelineScratch::new();
+/// let result = backend.solve(&g, 7, 1, None, &mut scratch).unwrap();
+/// assert!(result.matching.is_valid_for(&g));
+/// assert!(20.0 <= backend.claimed_ratio() * result.matching.len() as f64);
+/// ```
+#[derive(Clone, Copy, Debug)]
+pub enum Backend {
+    /// The paper's `G_Δ` pipeline. The parameters are the caller's
+    /// (pre-stage-split): `eps` is the *end-to-end* target, and both the
+    /// mark and match stages run at [`stage_eps`] with Δ re-aimed by
+    /// [`stage_params`]. The seed fully determines the marks.
+    Delta(SparsifierParams),
+    /// Solve through an `(β, β⁻)`-EDCS (see [`crate::edcs`]).
+    /// Deterministic — the seed is ignored — with the match stage run at
+    /// the full `eps` (no stage split; the EDCS's ratio floor is
+    /// structural, not an ε budget).
+    Edcs {
+        /// Validated EDCS parameters (β, λ).
+        params: EdcsParams,
+        /// Bounded-augmentation budget for the match stage, in `(0, 1)`.
+        eps: f64,
+    },
+}
+
+impl Backend {
+    /// Which backend this is; its [`BackendKind::as_str`] is the stable
+    /// name reported in benchmark JSON and counterexample documents.
+    pub fn kind(&self) -> BackendKind {
+        match self {
+            Backend::Delta(_) => BackendKind::Delta,
+            Backend::Edcs { .. } => BackendKind::Edcs,
+        }
+    }
 
     /// A one-line human-readable parameter summary for reports, e.g.
     /// `"beta=2 eps=0.5 delta=1188"`.
-    fn params_summary(&self) -> String;
+    pub fn params_summary(&self) -> String {
+        match self {
+            Backend::Delta(p) => format!("beta={} eps={} delta={}", p.beta, p.eps, p.delta),
+            Backend::Edcs { params, eps } => format!(
+                "beta={} lambda={} eps={eps}",
+                params.beta(),
+                params.lambda()
+            ),
+        }
+    }
 
     /// The claimed end-to-end approximation ratio `r ≥ 1`: the backend
     /// asserts `|M*| ≤ r · |M|` for the matching `M` it returns. The
     /// check oracle tests this against exact blossom per sweep seed.
-    fn claimed_ratio(&self) -> f64;
+    pub fn claimed_ratio(&self) -> f64 {
+        match self {
+            // Theorem 3.1: a (1+ε)-approximate MCM through G_Δ.
+            Backend::Delta(p) => 1.0 + p.eps,
+            // EDCS contains a (3/2)(1+λ)-approximate matching
+            // (arXiv:1811.02009); bounded augmentation at ε on top
+            // multiplies in the remaining (1+ε).
+            Backend::Edcs { params, eps } => 1.5 * (1.0 + params.lambda()) * (1.0 + eps),
+        }
+    }
 
     /// The claimed worst-case sparsifier size: the backend asserts
     /// `|E(H)| ≤` this for any `n`-vertex input. Certified per sweep.
-    fn claimed_size_bound(&self, n: usize) -> usize;
+    ///
+    /// For `delta` the claim is stated for the sparsifier the pipeline
+    /// *actually* builds, at [`stage_params`]' Δ — larger than the Δ of
+    /// the caller's params, so the caller-params bound would be a claim
+    /// about a different graph.
+    pub fn claimed_size_bound(&self, n: usize) -> usize {
+        match self {
+            Backend::Delta(p) => stage_params(p).naive_size_bound(n),
+            Backend::Edcs { params, .. } => params.size_bound(n),
+        }
+    }
 
     /// Build the sparsifier `H` alone (same vertex set as `g`). `seed`
-    /// feeds randomized backends; deterministic ones ignore it.
-    fn build(&self, g: &CsrGraph, seed: u64) -> CsrGraph;
+    /// feeds `delta`'s marking; `edcs` ignores it.
+    pub fn build(&self, g: &CsrGraph, seed: u64) -> CsrGraph {
+        match self {
+            Backend::Delta(p) => {
+                build_sparsifier_parallel(g, &stage_params(p), seed, 1)
+                    .expect("1 is a valid thread count")
+                    .graph
+            }
+            Backend::Edcs { params, .. } => build_edcs(g, params).0,
+        }
+    }
 
-    /// Build-and-match through a caller-owned arena: the zero-alloc warm
-    /// path. Result semantics per backend — for `delta`, byte-identical
-    /// to the un-traited pipeline entry points.
-    fn solve<'s>(
+    /// The ε the match stage's bounded augmentation runs at.
+    fn match_eps(&self) -> f64 {
+        match self {
+            Backend::Delta(p) => stage_eps(p.eps),
+            Backend::Edcs { eps, .. } => *eps,
+        }
+    }
+
+    /// Build-and-match through a caller-owned arena: mark, extract, then
+    /// greedy plus bounded augmentation on the sparsifier. The returned
+    /// reference points at [`PipelineScratch::result`], valid until the
+    /// next run through the same arena. After a warm-up call on a given
+    /// input size, repeat calls with `meter: None` perform zero heap
+    /// allocations on the sequential path; a one-shot caller passes
+    /// `&mut PipelineScratch::new()` and clones the result.
+    ///
+    /// The result depends only on `seed` — never on `threads`, which
+    /// sets the worker count for every `delta` stage (the EDCS fixpoint
+    /// is sequential: its pass order is the determinism contract).
+    /// Rejects `threads` outside `1..=`[`MAX_THREADS`] with a
+    /// [`ThreadCountError`].
+    ///
+    /// With a `meter`, adjacency probes, sparsifier size, and
+    /// augmentation work land under the shared [`sparsimatch_obs::keys`]
+    /// names, and per-stage wall-clock spans under [`keys::STAGE_MARK`],
+    /// [`keys::STAGE_EXTRACT`], [`keys::STAGE_MATCH`], and
+    /// [`keys::PIPELINE_TOTAL`]. `delta` adds its degree probes, sampler
+    /// RNG draws, and overlay writes; `edcs` reads no degrees and draws
+    /// no randomness, so it emits none of those keys, and its neighbor
+    /// probes are the fixpoint's `passes × 2m` half-edge visits — the
+    /// linear-scan cost that separates it from the sublinear `delta`.
+    pub fn solve<'s>(
         &self,
         g: &CsrGraph,
         seed: u64,
         threads: usize,
+        meter: Option<&mut WorkMeter>,
         scratch: &'s mut PipelineScratch,
-    ) -> Result<&'s PipelineResult, ThreadCountError>;
+    ) -> Result<&'s PipelineResult, ThreadCountError> {
+        // The sequential fallbacks below bypass `mark_edges_parallel`'s
+        // validation, so reject bad thread counts up front.
+        if threads == 0 || threads > MAX_THREADS {
+            return Err(ThreadCountError { requested: threads });
+        }
+        let total_start = Instant::now();
+        let PipelineScratch {
+            sampler,
+            indices,
+            keep,
+            ids,
+            csr,
+            searcher,
+            edcs_in,
+            edcs_deg,
+            result,
+            ..
+        } = &mut *scratch;
 
-    /// [`solve`](MatchingSparsifier::solve) with unified work accounting
-    /// on the shared meter keys.
-    fn solve_metered<'s>(
-        &self,
-        g: &CsrGraph,
-        seed: u64,
-        threads: usize,
-        meter: &mut WorkMeter,
-        scratch: &'s mut PipelineScratch,
-    ) -> Result<&'s PipelineResult, ThreadCountError>;
+        // Stage 1: mark — the only backend-specific step. It fills the
+        // sorted kept edge ids, the sparsifier stats, and the probes, and
+        // fixes the worker count the later stages run with.
+        let mark_start = Instant::now();
+        let (threads, sampler_work) = match self {
+            Backend::Delta(params) => {
+                let stage = stage_params(params);
+                // Small inputs take the sequential in-place path (same
+                // marks — per-vertex RNG streams don't care who draws).
+                let (stats, rng_draws, overlay_writes) =
+                    if stage_threads(threads, g.num_edges(), MARK_PARALLEL_CUTOFF) == 1 {
+                        let summary = mark_edges_sequential_into(
+                            g, &stage, seed, sampler, indices, keep, ids,
+                        );
+                        (summary.stats, summary.rng_draws, summary.overlay_writes)
+                    } else {
+                        let marks = mark_edges_parallel(g, &stage, seed, threads)?;
+                        *ids = marks.ids;
+                        (marks.stats, marks.rng_draws, marks.overlay_writes)
+                    };
+                result.sparsifier = stats;
+                // The CSR fast path reads the graph directly, so probes
+                // are accounted analytically: two degree reads per vertex
+                // (the low-degree check and the one inside the sampler)
+                // and one adjacency-entry read per mark.
+                result.probes = ProbeCounts {
+                    degree_probes: 2 * g.num_vertices() as u64,
+                    neighbor_probes: stats.marks_placed as u64,
+                };
+                (threads, Some((rng_draws, overlay_writes)))
+            }
+            Backend::Edcs { params, .. } => {
+                let stats = mark_edcs_into(g, params, edcs_in, edcs_deg, ids);
+                result.sparsifier = stats.as_sparsifier_stats(params);
+                // The linear half-edge scan cost `passes × 2m` — no
+                // sublinearity claim is made for this backend.
+                result.probes = ProbeCounts {
+                    degree_probes: 0,
+                    neighbor_probes: stats.passes as u64 * 2 * g.num_edges() as u64,
+                };
+                (1, None)
+            }
+        };
+        let mark_nanos = mark_start.elapsed().as_nanos();
 
-    /// Build-and-match from a rescannable edge stream without
-    /// materializing the parent graph, reporting resident-memory and
-    /// scan accounting.
-    fn solve_streamed(
+        // Stage 2: extract the sparsifier CSR (byte-identical to the
+        // sequential layout for any thread count). The in-place rebuild
+        // *is* the sequential layout; the parallel builder is only worth
+        // spawning when the host can actually run the workers.
+        let extract_start = Instant::now();
+        let sparse: &CsrGraph = if !host_has_parallelism() || threads == 1 {
+            csr.rebuild_from_marked(g, ids)
+        } else {
+            csr.replace(from_marked_edges(g, ids, threads))
+        };
+        result.sparsifier.edges = sparse.num_edges();
+        let extract_nanos = extract_start.elapsed().as_nanos();
+
+        // Stage 3: greedy init + bounded augmentation on the sparsifier.
+        // The parallel greedy computes the lexicographically-first
+        // maximal matching — exactly the sequential scan's output — so
+        // the dispatch only picks the cheaper route for the extracted size.
+        let match_start = Instant::now();
+        if stage_threads(threads, sparse.num_edges(), MATCH_PARALLEL_CUTOFF) == 1 {
+            greedy_maximal_matching_into(sparse, &mut result.matching);
+        } else {
+            result.matching = greedy_maximal_matching_parallel(sparse, threads);
+        }
+        result.aug = eliminate_augmenting_paths_up_to_with(
+            sparse,
+            &mut result.matching,
+            max_path_len_for_eps(self.match_eps()),
+            searcher,
+        );
+        let match_nanos = match_start.elapsed().as_nanos();
+        debug_assert!(
+            result.matching.is_valid_for(g),
+            "sparsifier must be a subgraph"
+        );
+
+        if let Some(meter) = meter {
+            if let Some((rng_draws, overlay_writes)) = sampler_work {
+                meter.add(keys::DEGREE_PROBES, result.probes.degree_probes);
+                meter.add(keys::RNG_DRAWS, rng_draws);
+                meter.add(keys::OVERLAY_WRITES, overlay_writes);
+            }
+            meter.add(keys::NEIGHBOR_PROBES, result.probes.neighbor_probes);
+            meter.add(keys::SPARSIFIER_EDGES, result.sparsifier.edges as u64);
+            meter.add(keys::EDGE_VISITS, result.aug.edge_visits);
+            meter.add(keys::AUG_SEARCHES, result.aug.searches as u64);
+            meter.add(keys::AUGMENTATIONS, result.aug.augmentations as u64);
+            meter.add_span(keys::STAGE_MARK, 1, mark_nanos);
+            meter.add_span(keys::STAGE_EXTRACT, 1, extract_nanos);
+            meter.add_span(keys::STAGE_MATCH, 1, match_nanos);
+            meter.add_span(keys::PIPELINE_TOTAL, 1, total_start.elapsed().as_nanos());
+        }
+
+        scratch.note_high_water();
+        Ok(scratch.result())
+    }
+
+    /// Build-and-match from a rescannable lex-sorted edge stream without
+    /// materializing the parent graph, reporting resident-memory and scan
+    /// accounting. For a stream of graph `g` the [`PipelineResult`] —
+    /// matching pairs, sparsifier stats, probes, augmentation stats — is
+    /// identical to [`Backend::solve`] on `g` at any thread count.
+    ///
+    /// The `delta` build re-runs a failed pass under `policy`; a
+    /// recovered build is byte-identical to a fault-free one, its pass
+    /// restarts land on the meter's `io.retries` key, and a spent budget
+    /// is [`StreamBuildError::RetriesExhausted`]. The `edcs` build gives
+    /// each fixpoint pass a single attempt and ignores `policy` and
+    /// `meter`.
+    pub fn solve_streamed(
         &self,
         src: &mut dyn EdgeStreamSource,
         seed: u64,
-    ) -> Result<(PipelineResult, StreamBuildReport), ReadError>;
-}
-
-/// The `delta` backend: the paper's `G_Δ` pipeline behind the trait,
-/// with zero behavior change. Every solve path delegates to the
-/// pre-existing entry point with the caller's exact parameters, so the
-/// fingerprint (matching pairs, sparsifier stats, probe counts) is
-/// byte-identical to calling
-/// [`approx_mcm_via_sparsifier`](crate::pipeline::approx_mcm_via_sparsifier)
-/// directly — a conformance test pins this across `t ∈ {1, 2, 4}`.
-///
-/// The size claim is stated for the sparsifier the pipeline *actually*
-/// builds: the pipeline re-aims Δ at the stage ε (see [`stage_params`]),
-/// which is larger than the Δ of the caller's params — claiming the
-/// caller-params bound would be claiming a bound on a different graph.
-#[derive(Clone, Copy, Debug)]
-pub struct DeltaBackend {
-    /// The pipeline parameters (pre-stage-split, as callers supply them).
-    pub params: SparsifierParams,
-}
-
-impl MatchingSparsifier for DeltaBackend {
-    fn name(&self) -> &'static str {
-        BackendKind::Delta.as_str()
-    }
-
-    fn params_summary(&self) -> String {
-        format!(
-            "beta={} eps={} delta={}",
-            self.params.beta, self.params.eps, self.params.delta
-        )
-    }
-
-    fn claimed_ratio(&self) -> f64 {
-        // Theorem 3.1: a (1+ε)-approximate MCM through G_Δ.
-        1.0 + self.params.eps
-    }
-
-    fn claimed_size_bound(&self, n: usize) -> usize {
-        stage_params(&self.params).naive_size_bound(n)
-    }
-
-    fn build(&self, g: &CsrGraph, seed: u64) -> CsrGraph {
-        build_sparsifier_parallel(g, &stage_params(&self.params), seed, 1)
-            .expect("1 is a valid thread count")
-            .graph
-    }
-
-    fn solve<'s>(
-        &self,
-        g: &CsrGraph,
-        seed: u64,
-        threads: usize,
-        scratch: &'s mut PipelineScratch,
-    ) -> Result<&'s PipelineResult, ThreadCountError> {
-        approx_mcm_via_sparsifier_with_scratch(g, &self.params, seed, threads, scratch)
-    }
-
-    fn solve_metered<'s>(
-        &self,
-        g: &CsrGraph,
-        seed: u64,
-        threads: usize,
-        meter: &mut WorkMeter,
-        scratch: &'s mut PipelineScratch,
-    ) -> Result<&'s PipelineResult, ThreadCountError> {
-        approx_mcm_via_sparsifier_with_scratch_metered(
-            g,
-            &self.params,
-            seed,
-            threads,
-            meter,
-            scratch,
-        )
-    }
-
-    fn solve_streamed(
-        &self,
-        src: &mut dyn EdgeStreamSource,
-        seed: u64,
-    ) -> Result<(PipelineResult, StreamBuildReport), ReadError> {
-        approx_mcm_streamed(&mut &mut *src, &self.params, seed)
-    }
-}
-
-/// The `edcs` backend: solve through an `(β, β⁻)`-EDCS (see
-/// [`crate::edcs`]). Deterministic — the seed is ignored — with the
-/// matching stage run at the full `eps` (no stage split; the EDCS's
-/// ratio floor is structural, not an ε budget).
-#[derive(Clone, Copy, Debug)]
-pub struct EdcsBackend {
-    /// Validated EDCS parameters (β, λ).
-    pub params: EdcsParams,
-    /// Bounded-augmentation budget for the match stage, in `(0, 1)`.
-    pub eps: f64,
-}
-
-impl MatchingSparsifier for EdcsBackend {
-    fn name(&self) -> &'static str {
-        BackendKind::Edcs.as_str()
-    }
-
-    fn params_summary(&self) -> String {
-        format!(
-            "beta={} lambda={} eps={}",
-            self.params.beta(),
-            self.params.lambda(),
-            self.eps
-        )
-    }
-
-    fn claimed_ratio(&self) -> f64 {
-        // EDCS contains a (3/2)(1+λ)-approximate matching
-        // (arXiv:1811.02009); bounded augmentation at ε on top multiplies
-        // in the remaining (1+ε).
-        1.5 * (1.0 + self.params.lambda()) * (1.0 + self.eps)
-    }
-
-    fn claimed_size_bound(&self, n: usize) -> usize {
-        self.params.size_bound(n)
-    }
-
-    fn build(&self, g: &CsrGraph, _seed: u64) -> CsrGraph {
-        build_edcs(g, &self.params).0
-    }
-
-    fn solve<'s>(
-        &self,
-        g: &CsrGraph,
-        _seed: u64,
-        threads: usize,
-        scratch: &'s mut PipelineScratch,
-    ) -> Result<&'s PipelineResult, ThreadCountError> {
-        approx_mcm_via_edcs_with_scratch(g, &self.params, self.eps, threads, scratch)
-    }
-
-    fn solve_metered<'s>(
-        &self,
-        g: &CsrGraph,
-        _seed: u64,
-        threads: usize,
-        meter: &mut WorkMeter,
-        scratch: &'s mut PipelineScratch,
-    ) -> Result<&'s PipelineResult, ThreadCountError> {
-        approx_mcm_via_edcs_with_scratch_metered(g, &self.params, self.eps, threads, meter, scratch)
-    }
-
-    fn solve_streamed(
-        &self,
-        src: &mut dyn EdgeStreamSource,
-        _seed: u64,
-    ) -> Result<(PipelineResult, StreamBuildReport), ReadError> {
-        approx_mcm_edcs_streamed(src, &self.params, self.eps)
+        policy: &RetryPolicy,
+        meter: Option<&mut WorkMeter>,
+    ) -> Result<(PipelineResult, StreamBuildReport), StreamBuildError> {
+        let (h, sparsifier, report) = match self {
+            Backend::Delta(params) => {
+                let (s, report) =
+                    build_sparsifier_streamed(src, &stage_params(params), seed, policy, meter)?;
+                (s.graph, s.stats, report)
+            }
+            Backend::Edcs { params, .. } => {
+                let (h, stats, report) = build_edcs_streamed(src, params)?;
+                (h, stats.as_sparsifier_stats(params), report)
+            }
+        };
+        let (matching, aug) = approx_mcm_on_sparsifier(&h, self.match_eps());
+        Ok((
+            PipelineResult {
+                matching,
+                sparsifier,
+                probes: report.probes,
+                aug,
+            },
+            report,
+        ))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::approx_mcm_via_sparsifier;
     use rand::{rngs::StdRng, SeedableRng};
     use sparsimatch_graph::generators::{clique, gnp};
 
@@ -313,45 +456,25 @@ mod tests {
         assert_eq!(BackendKind::parse(""), None);
     }
 
-    /// The tentpole's conformance pin: the `delta` backend behind the
-    /// trait is byte-identical to the pre-refactor pipeline across
-    /// thread counts.
-    #[test]
-    fn delta_backend_is_byte_identical_to_pipeline() {
-        let mut rng = StdRng::seed_from_u64(42);
-        let graphs = [clique(80), gnp(300, 0.05, &mut rng)];
-        let params = SparsifierParams::practical(2, 0.4);
-        let backend = DeltaBackend { params };
-        let mut scratch = PipelineScratch::new();
-        for (i, g) in graphs.iter().enumerate() {
-            for seed in [0u64, 7] {
-                for threads in [1usize, 2, 4] {
-                    let direct = approx_mcm_via_sparsifier(g, &params, seed, threads).unwrap();
-                    let traited = backend.solve(g, seed, threads, &mut scratch).unwrap();
-                    assert_eq!(direct.matching, traited.matching, "graph {i} t={threads}");
-                    assert_eq!(
-                        direct.sparsifier, traited.sparsifier,
-                        "graph {i} t={threads}"
-                    );
-                    assert_eq!(direct.probes, traited.probes, "graph {i} t={threads}");
-                    assert_eq!(
-                        direct.aug.augmentations, traited.aug.augmentations,
-                        "graph {i} t={threads}"
-                    );
-                }
-            }
-        }
-    }
-
     #[test]
     fn delta_backend_build_matches_pipeline_sparsifier_size() {
         let g = clique(60);
-        let params = SparsifierParams::practical(1, 0.5);
-        let backend = DeltaBackend { params };
+        let backend = Backend::Delta(SparsifierParams::practical(1, 0.5));
         let h = backend.build(&g, 3);
-        let r = approx_mcm_via_sparsifier(&g, &params, 3, 1).unwrap();
+        let mut scratch = PipelineScratch::new();
+        let r = backend.solve(&g, 3, 1, None, &mut scratch).unwrap();
         assert_eq!(h.num_edges(), r.sparsifier.edges);
         assert!(h.num_edges() <= backend.claimed_size_bound(g.num_vertices()));
+    }
+
+    fn both_backends() -> [Backend; 2] {
+        [
+            Backend::Delta(SparsifierParams::practical(2, 0.4)),
+            Backend::Edcs {
+                params: EdcsParams::new(16, 0.125).unwrap(),
+                eps: 0.4,
+            },
+        ]
     }
 
     #[test]
@@ -360,29 +483,20 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let g = gnp(200, 0.08, &mut rng);
         let exact = maximum_matching(&g).len() as f64;
-        let backends: [&dyn MatchingSparsifier; 2] = [
-            &DeltaBackend {
-                params: SparsifierParams::practical(2, 0.4),
-            },
-            &EdcsBackend {
-                params: EdcsParams::new(16, 0.125).unwrap(),
-                eps: 0.4,
-            },
-        ];
         let mut scratch = PipelineScratch::new();
-        for b in backends {
+        for b in both_backends() {
             let h = b.build(&g, 1);
             assert!(
                 h.num_edges() <= b.claimed_size_bound(g.num_vertices()),
                 "{}: size claim",
-                b.name()
+                b.kind()
             );
-            let r = b.solve(&g, 1, 1, &mut scratch).unwrap();
-            assert!(r.matching.is_valid_for(&g), "{}", b.name());
+            let r = b.solve(&g, 1, 1, None, &mut scratch).unwrap();
+            assert!(r.matching.is_valid_for(&g), "{}", b.kind());
             assert!(
                 exact <= b.claimed_ratio() * r.matching.len() as f64 + 1e-9,
                 "{}: ratio claim ({} vs {} at r={})",
-                b.name(),
+                b.kind(),
                 exact,
                 r.matching.len(),
                 b.claimed_ratio()
@@ -392,24 +506,80 @@ mod tests {
     }
 
     #[test]
-    fn streamed_solve_through_trait_object() {
+    fn streamed_solve_matches_in_memory_solve() {
         let g = clique(50);
-        let backends: [Box<dyn MatchingSparsifier>; 2] = [
-            Box::new(DeltaBackend {
-                params: SparsifierParams::practical(1, 0.5),
-            }),
-            Box::new(EdcsBackend {
-                params: EdcsParams::new(8, 0.25).unwrap(),
-                eps: 0.5,
-            }),
-        ];
-        for b in backends {
+        for b in both_backends() {
             let mut src = g.clone();
             let mut scratch = PipelineScratch::new();
-            let (streamed, report) = b.solve_streamed(&mut src, 9).unwrap();
-            let in_mem = b.solve(&g, 9, 1, &mut scratch).unwrap();
-            assert_eq!(streamed.matching, in_mem.matching, "{}", b.name());
-            assert!(report.edges_scanned > 0, "{}", b.name());
+            let (streamed, report) = b
+                .solve_streamed(&mut src, 9, &RetryPolicy::none(), None)
+                .unwrap();
+            let in_mem = b.solve(&g, 9, 1, None, &mut scratch).unwrap();
+            assert_eq!(streamed.matching, in_mem.matching, "{}", b.kind());
+            assert_eq!(streamed.sparsifier, in_mem.sparsifier, "{}", b.kind());
+            assert_eq!(streamed.probes, in_mem.probes, "{}", b.kind());
+            assert!(report.edges_scanned > 0, "{}", b.kind());
+        }
+    }
+
+    #[test]
+    fn metered_solve_matches_unmetered_and_emits_each_backends_keys() {
+        let g = clique(120);
+        for b in both_backends() {
+            let mut meter = WorkMeter::new();
+            let mut scratch = PipelineScratch::new();
+            let plain = b.solve(&g, 7, 2, None, &mut scratch).unwrap().clone();
+            let metered = b.solve(&g, 7, 2, Some(&mut meter), &mut scratch).unwrap();
+            assert_eq!(
+                plain.matching, metered.matching,
+                "metering must not perturb"
+            );
+            assert_eq!(plain.probes, metered.probes);
+            assert_eq!(plain.sparsifier, metered.sparsifier);
+            assert_eq!(
+                meter.get(keys::NEIGHBOR_PROBES),
+                metered.probes.neighbor_probes
+            );
+            assert_eq!(
+                meter.get(keys::SPARSIFIER_EDGES),
+                metered.sparsifier.edges as u64
+            );
+            assert_eq!(meter.get(keys::EDGE_VISITS), metered.aug.edge_visits);
+            let names: Vec<&str> = meter.counters().map(|(k, _)| k).collect();
+            let sampler_keys = [keys::DEGREE_PROBES, keys::RNG_DRAWS, keys::OVERLAY_WRITES];
+            for key in sampler_keys {
+                assert_eq!(
+                    names.contains(&key),
+                    b.kind() == BackendKind::Delta,
+                    "{}: key {key}",
+                    b.kind()
+                );
+            }
+            // Per-stage spans recorded exactly once each.
+            for key in [
+                keys::STAGE_MARK,
+                keys::STAGE_EXTRACT,
+                keys::STAGE_MATCH,
+                keys::PIPELINE_TOTAL,
+            ] {
+                assert_eq!(meter.span_stats(key).count, 1, "span {key}");
+            }
+            let stage_sum = meter.span_stats(keys::STAGE_MARK).total_nanos
+                + meter.span_stats(keys::STAGE_EXTRACT).total_nanos
+                + meter.span_stats(keys::STAGE_MATCH).total_nanos;
+            assert!(stage_sum <= meter.span_stats(keys::PIPELINE_TOTAL).total_nanos);
+        }
+    }
+
+    #[test]
+    fn both_backends_reject_bad_thread_counts() {
+        let g = clique(20);
+        let mut scratch = PipelineScratch::new();
+        for b in both_backends() {
+            assert!(b.solve(&g, 1, 0, None, &mut scratch).is_err());
+            assert!(b.solve(&g, 1, 65, None, &mut scratch).is_err());
+            // And the arena still works after a rejected call.
+            assert!(b.solve(&g, 1, 64, None, &mut scratch).is_ok());
         }
     }
 }

@@ -25,21 +25,12 @@
 //! every fix raises `Φ` by at least `1/2` and `Φ = O(n·β²)`, so the
 //! build is infallible — there is no error path.
 
-use crate::pipeline::PipelineResult;
-use crate::scratch::PipelineScratch;
-use crate::sparsifier::{SparsifierStats, ThreadCountError, MAX_THREADS};
-use crate::stream_build::StreamBuildReport;
+use crate::sparsifier::SparsifierStats;
+use crate::stream_build::{StreamBuildError, StreamBuildReport};
 use sparsimatch_graph::adjacency::ProbeCounts;
 use sparsimatch_graph::csr::{from_sorted_edges, CsrGraph};
 use sparsimatch_graph::edge_stream::EdgeStreamSource;
 use sparsimatch_graph::ids::EdgeId;
-use sparsimatch_graph::io::ReadError;
-use sparsimatch_matching::bounded_aug::{
-    eliminate_augmenting_paths_up_to_with, max_path_len_for_eps,
-};
-use sparsimatch_matching::greedy::greedy_maximal_matching_into;
-use sparsimatch_obs::{keys, WorkMeter};
-use std::time::Instant;
 
 /// Validated EDCS parameters. Construct via [`EdcsParams::new`], which
 /// enforces the bounds the invariants need; the fields are read-only so
@@ -169,6 +160,20 @@ pub struct EdcsStats {
     pub edges: usize,
 }
 
+impl EdcsStats {
+    /// The fixpoint's counters on the shared stats slots: `mark_cap`
+    /// carries β and `marks_placed` the fix operations.
+    pub(crate) fn as_sparsifier_stats(&self, params: &EdcsParams) -> SparsifierStats {
+        SparsifierStats {
+            delta: 0,
+            mark_cap: params.beta(),
+            low_degree_vertices: 0,
+            marks_placed: self.ops as usize,
+            edges: self.edges,
+        }
+    }
+}
+
 /// One fixpoint run over `g`'s edges in storage order, writing
 /// H-membership into `in_h` (EdgeId-indexed) and H-degrees into `deg`,
 /// then collecting the kept edge ids (sorted, since the scan is in id
@@ -292,137 +297,6 @@ pub fn edcs_violation(g: &CsrGraph, h: &CsrGraph, params: &EdcsParams) -> Option
     None
 }
 
-/// Approximate the MCM of `g` through an EDCS: build the `(β, β⁻)`
-/// subgraph, then run greedy initialization plus bounded augmentation at
-/// the *full* `eps` on it. Unlike the `G_Δ` pipeline there is no stage
-/// split — the sparsifier's approximation factor is the fixed
-/// `3/2 + O(λ)` of the EDCS theorems, so the whole ε budget goes to the
-/// match stage and the end-to-end claim is `(3/2)·(1+λ)·(1+ε)`.
-///
-/// `seed` is accepted for signature parity with the seeded `delta`
-/// pipeline and ignored: the EDCS build is deterministic. `threads` is
-/// validated against the same `1..=`[`MAX_THREADS`] range as every
-/// pipeline entry point; construction itself is sequential (the
-/// fixpoint's pass order is the determinism contract).
-pub fn approx_mcm_via_edcs(
-    g: &CsrGraph,
-    params: &EdcsParams,
-    eps: f64,
-    threads: usize,
-) -> Result<PipelineResult, ThreadCountError> {
-    let mut scratch = PipelineScratch::new();
-    approx_mcm_via_edcs_impl(g, params, eps, threads, None, &mut scratch)?;
-    Ok(scratch.into_result())
-}
-
-/// [`approx_mcm_via_edcs`] writing through a caller-owned
-/// [`PipelineScratch`]: identical output, but the membership flags,
-/// degree counters, CSR arrays, searcher, and result matching are all
-/// reused — after a warm-up call on a given input size, repeat calls
-/// perform zero heap allocations, same as the delta pipeline's warm
-/// path.
-pub fn approx_mcm_via_edcs_with_scratch<'s>(
-    g: &CsrGraph,
-    params: &EdcsParams,
-    eps: f64,
-    threads: usize,
-    scratch: &'s mut PipelineScratch,
-) -> Result<&'s PipelineResult, ThreadCountError> {
-    approx_mcm_via_edcs_impl(g, params, eps, threads, None, scratch)?;
-    Ok(scratch.result())
-}
-
-/// [`approx_mcm_via_edcs_with_scratch`] with unified work accounting:
-/// stage spans land on the same keys as the delta pipeline
-/// ([`keys::STAGE_MARK`] covers the fixpoint, [`keys::STAGE_EXTRACT`]
-/// the CSR layout, [`keys::STAGE_MATCH`] the matching), and
-/// [`keys::NEIGHBOR_PROBES`] records the half-edge visits the fixpoint
-/// spent — `passes × 2m`, the honest linear-scan cost that separates
-/// this backend from the sublinear delta path.
-pub fn approx_mcm_via_edcs_with_scratch_metered<'s>(
-    g: &CsrGraph,
-    params: &EdcsParams,
-    eps: f64,
-    threads: usize,
-    meter: &mut WorkMeter,
-    scratch: &'s mut PipelineScratch,
-) -> Result<&'s PipelineResult, ThreadCountError> {
-    approx_mcm_via_edcs_impl(g, params, eps, threads, Some(meter), scratch)?;
-    Ok(scratch.result())
-}
-
-fn approx_mcm_via_edcs_impl(
-    g: &CsrGraph,
-    params: &EdcsParams,
-    eps: f64,
-    threads: usize,
-    meter: Option<&mut WorkMeter>,
-    scratch: &mut PipelineScratch,
-) -> Result<(), ThreadCountError> {
-    if threads == 0 || threads > MAX_THREADS {
-        return Err(ThreadCountError { requested: threads });
-    }
-    let total_start = Instant::now();
-    let PipelineScratch {
-        ids,
-        csr,
-        searcher,
-        edcs_in,
-        edcs_deg,
-        result,
-        ..
-    } = scratch;
-
-    let mark_start = Instant::now();
-    let stats = mark_edcs_into(g, params, edcs_in, edcs_deg, ids);
-    let mark_nanos = mark_start.elapsed().as_nanos();
-
-    let extract_start = Instant::now();
-    let sparse: &CsrGraph = csr.rebuild_from_marked(g, ids);
-    let extract_nanos = extract_start.elapsed().as_nanos();
-
-    // Map the fixpoint's counters onto the shared stats/probe slots:
-    // `mark_cap` carries β, `marks_placed` the fix operations, and the
-    // probe count is the linear half-edge scan cost `passes × 2m` — no
-    // sublinearity claim is made for this backend.
-    result.sparsifier = SparsifierStats {
-        delta: 0,
-        mark_cap: params.beta(),
-        low_degree_vertices: 0,
-        marks_placed: stats.ops as usize,
-        edges: sparse.num_edges(),
-    };
-    result.probes = ProbeCounts {
-        degree_probes: 0,
-        neighbor_probes: stats.passes as u64 * 2 * g.num_edges() as u64,
-    };
-
-    let match_start = Instant::now();
-    greedy_maximal_matching_into(sparse, &mut result.matching);
-    result.aug = eliminate_augmenting_paths_up_to_with(
-        sparse,
-        &mut result.matching,
-        max_path_len_for_eps(eps),
-        searcher,
-    );
-    let match_nanos = match_start.elapsed().as_nanos();
-    debug_assert!(result.matching.is_valid_for(g), "EDCS must be a subgraph");
-
-    if let Some(meter) = meter {
-        meter.add(keys::NEIGHBOR_PROBES, result.probes.neighbor_probes);
-        meter.add(keys::SPARSIFIER_EDGES, result.sparsifier.edges as u64);
-        meter.add(keys::EDGE_VISITS, result.aug.edge_visits);
-        meter.add(keys::AUG_SEARCHES, result.aug.searches as u64);
-        meter.add(keys::AUGMENTATIONS, result.aug.augmentations as u64);
-        meter.add_span(keys::STAGE_MARK, 1, mark_nanos);
-        meter.add_span(keys::STAGE_EXTRACT, 1, extract_nanos);
-        meter.add_span(keys::STAGE_MATCH, 1, match_nanos);
-        meter.add_span(keys::PIPELINE_TOTAL, 1, total_start.elapsed().as_nanos());
-    }
-    scratch.note_high_water();
-    Ok(())
-}
-
 /// Build the EDCS from a rescannable lex-sorted edge stream without
 /// materializing the parent graph. Each fixpoint pass is one full scan;
 /// H-membership is carried between passes as a sorted edge list walked
@@ -438,10 +312,14 @@ fn approx_mcm_via_edcs_impl(
 /// a degree oracle), and `peak_resident_bytes` counts the degree array
 /// plus the double-buffered membership lists, still far below
 /// materializing the parent.
+///
+/// Each pass gets a single attempt: a failed scan is final, reported as
+/// [`StreamBuildError::RetriesExhausted`] with `attempts: 1` and the
+/// failing pass number (saturating at 255).
 pub fn build_edcs_streamed(
     src: &mut dyn EdgeStreamSource,
     params: &EdcsParams,
-) -> Result<(CsrGraph, EdcsStats, StreamBuildReport), ReadError> {
+) -> Result<(CsrGraph, EdcsStats, StreamBuildReport), StreamBuildError> {
     let n = src.num_vertices();
     let m = src.num_edges();
     let (beta, beta_minus) = (params.beta() as u32, params.beta_minus() as u32);
@@ -478,6 +356,11 @@ pub fn build_edcs_streamed(
                 ops += 1;
                 changed = true;
             }
+        })
+        .map_err(|last| StreamBuildError::RetriesExhausted {
+            pass: u8::try_from(stats.passes).unwrap_or(u8::MAX),
+            attempts: 1,
+            last,
         })?;
         stats.ops += ops;
         peak = peak.max(deg.capacity() * 4 + (old_h.capacity() + new_h.capacity()) * 8);
@@ -506,41 +389,29 @@ pub fn build_edcs_streamed(
     Ok((h, stats, report))
 }
 
-/// End-to-end out-of-core EDCS solve: stream-build the subgraph, then
-/// greedy plus bounded augmentation at the full `eps` on it, mirroring
-/// [`approx_mcm_via_edcs`]'s accounting (same stats/probe conventions).
-pub fn approx_mcm_edcs_streamed(
-    src: &mut dyn EdgeStreamSource,
-    params: &EdcsParams,
-    eps: f64,
-) -> Result<(PipelineResult, StreamBuildReport), ReadError> {
-    let (h, stats, report) = build_edcs_streamed(src, params)?;
-    let (matching, aug) = crate::pipeline::approx_mcm_on_sparsifier(&h, eps);
-    Ok((
-        PipelineResult {
-            matching,
-            sparsifier: SparsifierStats {
-                delta: 0,
-                mark_cap: params.beta(),
-                low_degree_vertices: 0,
-                marks_placed: stats.ops as usize,
-                edges: stats.edges,
-            },
-            probes: report.probes,
-            aug,
-        },
-        report,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::Backend;
+    use crate::pipeline::PipelineResult;
+    use crate::scratch::PipelineScratch;
     use rand::{rngs::StdRng, SeedableRng};
     use sparsimatch_graph::generators::{
         bipartite_gnp, clique, clique_union, gnp, CliqueUnionConfig,
     };
     use sparsimatch_matching::blossom::maximum_matching;
+
+    fn solve(g: &CsrGraph, params: &EdcsParams, eps: f64, seed: u64) -> PipelineResult {
+        let backend = Backend::Edcs {
+            params: *params,
+            eps,
+        };
+        let mut scratch = PipelineScratch::new();
+        backend
+            .solve(g, seed, 1, None, &mut scratch)
+            .unwrap()
+            .clone()
+    }
 
     fn test_graphs() -> Vec<CsrGraph> {
         let mut rng = StdRng::seed_from_u64(11);
@@ -615,7 +486,7 @@ mod tests {
         let claim = 1.5 * (1.0 + p.lambda()) * (1.0 + eps);
         for (i, g) in test_graphs().iter().enumerate() {
             let exact = maximum_matching(g).len();
-            let r = approx_mcm_via_edcs(g, &p, eps, 1).unwrap();
+            let r = solve(g, &p, eps, 0);
             assert!(r.matching.is_valid_for(g), "graph {i}");
             assert!(
                 exact as f64 <= claim * r.matching.len() as f64 + 1e-9,
@@ -629,8 +500,8 @@ mod tests {
     fn deterministic_and_seed_independent() {
         let g = clique(80);
         let p = EdcsParams::new(8, 0.25).unwrap();
-        let a = approx_mcm_via_edcs(&g, &p, 0.4, 1).unwrap();
-        let b = approx_mcm_via_edcs(&g, &p, 0.4, 1).unwrap();
+        let a = solve(&g, &p, 0.4, 0);
+        let b = solve(&g, &p, 0.4, 99);
         assert_eq!(a.matching, b.matching);
         assert_eq!(a.sparsifier.edges, b.sparsifier.edges);
     }
@@ -640,22 +511,17 @@ mod tests {
         let p = EdcsParams::new(8, 0.25).unwrap();
         let mut scratch = PipelineScratch::new();
         for (i, g) in test_graphs().iter().enumerate() {
-            let cold = approx_mcm_via_edcs(g, &p, 0.4, 1).unwrap();
-            let warm = approx_mcm_via_edcs_with_scratch(g, &p, 0.4, 1, &mut scratch).unwrap();
+            let cold = solve(g, &p, 0.4, 0);
+            let backend = Backend::Edcs {
+                params: p,
+                eps: 0.4,
+            };
+            let warm = backend.solve(g, 0, 1, None, &mut scratch).unwrap();
             assert_eq!(cold.matching, warm.matching, "graph {i}");
             assert_eq!(cold.sparsifier, warm.sparsifier, "graph {i}");
             assert_eq!(cold.probes, warm.probes, "graph {i}");
         }
         assert!(scratch.high_water_bytes() > 0);
-    }
-
-    #[test]
-    fn rejects_bad_thread_counts() {
-        let g = clique(20);
-        let p = EdcsParams::new(4, 0.5).unwrap();
-        assert!(approx_mcm_via_edcs(&g, &p, 0.5, 0).is_err());
-        assert!(approx_mcm_via_edcs(&g, &p, 0.5, 65).is_err());
-        assert!(approx_mcm_via_edcs(&g, &p, 0.5, 64).is_ok());
     }
 
     #[test]
@@ -684,39 +550,5 @@ mod tests {
             );
             assert!(report.peak_resident_bytes > 0);
         }
-    }
-
-    #[test]
-    fn streamed_solve_matches_in_memory_solve() {
-        let g = clique(60);
-        let p = EdcsParams::new(8, 0.25).unwrap();
-        let mem = approx_mcm_via_edcs(&g, &p, 0.4, 1).unwrap();
-        let mut src = g.clone();
-        let (streamed, report) = approx_mcm_edcs_streamed(&mut src, &p, 0.4).unwrap();
-        assert_eq!(mem.matching, streamed.matching);
-        assert_eq!(mem.sparsifier.edges, streamed.sparsifier.edges);
-        assert!(report.sparsifier_bytes > 0);
-    }
-
-    #[test]
-    fn metered_matches_unmetered() {
-        let g = clique(50);
-        let p = EdcsParams::new(8, 0.25).unwrap();
-        let mut scratch = PipelineScratch::new();
-        let mut meter = WorkMeter::new();
-        let plain = approx_mcm_via_edcs(&g, &p, 0.4, 1).unwrap();
-        let metered =
-            approx_mcm_via_edcs_with_scratch_metered(&g, &p, 0.4, 1, &mut meter, &mut scratch)
-                .unwrap();
-        assert_eq!(plain.matching, metered.matching);
-        assert_eq!(
-            meter.get(keys::SPARSIFIER_EDGES),
-            metered.sparsifier.edges as u64
-        );
-        assert_eq!(
-            meter.get(keys::NEIGHBOR_PROBES),
-            metered.probes.neighbor_probes
-        );
-        assert_eq!(meter.span_stats(keys::PIPELINE_TOTAL).count, 1);
     }
 }

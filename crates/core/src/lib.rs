@@ -21,8 +21,8 @@
 //!   bounded-arboricity graphs (deterministic, mutual marking).
 //! * [`composed`] — the two-round composition `G̃_Δ` of Section 3.2:
 //!   bounded-β graph → low-arboricity `G_Δ` → bounded-degree `G̃_Δ`.
-//! * [`pipeline`] — Theorem 3.1 end-to-end: sparsify then run a `(1+ε)`
-//!   matching algorithm, in time sublinear in `|E(G)|`.
+//! * [`pipeline`] — Theorem 3.1's shared pieces: the result type, the
+//!   stage-ε split, and the match stage on a pre-built sparsifier.
 //! * [`stream_build`] — the same construction out of core: two passes
 //!   over a lex-sorted edge stream build a byte-identical `G_Δ` in
 //!   `O(n + |E(G_Δ)|)` resident memory, never materializing `G`.
@@ -32,12 +32,13 @@
 //! * [`lower_bounds`] — the paper's negative results as executable
 //!   instances: deterministic marking fails (Lemma 2.13) and exact
 //!   preservation fails (Observation 2.14).
-//! * [`backend`] — the [`backend::MatchingSparsifier`] contract over
-//!   interchangeable sparsifier backends, with the `G_Δ` pipeline as the
-//!   `delta` backend (byte-identical to the direct entry points).
+//! * [`backend`] — Theorem 3.1 end-to-end: the [`Backend`] enum runs
+//!   mark → extract → match in memory ([`Backend::solve`]) or from an
+//!   edge stream ([`Backend::solve_streamed`]), in time sublinear in
+//!   `|E(G)|` for the `G_Δ` (`delta`) backend.
 //! * [`edcs`] — the Assadi–Bernstein edge-degree constrained subgraph
-//!   (arXiv:1811.02009), the second backend: deterministic, smaller for
-//!   comparable degree budgets, `3/2 + O(λ)` ratio floor.
+//!   (arXiv:1811.02009), the second backend's sparsifier: deterministic,
+//!   smaller for comparable degree budgets, `3/2 + O(λ)` ratio floor.
 
 pub mod backend;
 pub mod composed;
@@ -51,17 +52,15 @@ pub mod solomon;
 pub mod sparsifier;
 pub mod stream_build;
 
-pub use backend::{BackendKind, DeltaBackend, EdcsBackend, MatchingSparsifier};
+pub use backend::{Backend, BackendKind};
 pub use edcs::{build_edcs, EdcsParams, EdcsParamsError, EdcsStats};
 pub use params::SparsifierParams;
-pub use pipeline::{
-    approx_mcm_via_sparsifier, approx_mcm_via_sparsifier_metered,
-    approx_mcm_via_sparsifier_with_scratch, approx_mcm_via_sparsifier_with_scratch_metered,
-    PipelineResult,
-};
+pub use pipeline::PipelineResult;
 pub use scratch::{OracleRebuildScratch, PipelineScratch};
 pub use sparsifier::{
     build_sparsifier, build_sparsifier_metered, build_sparsifier_parallel,
     build_sparsifier_parallel_metered, Sparsifier, SparsifierStats, ThreadCountError, MAX_THREADS,
 };
-pub use stream_build::{approx_mcm_streamed, build_sparsifier_streamed, StreamBuildReport};
+pub use stream_build::{
+    build_sparsifier_streamed, RetryPolicy, StreamBuildError, StreamBuildReport,
+};

@@ -10,68 +10,19 @@
 //! two `(1+·)` factors so the end-to-end guarantee is `1 + ε`:
 //! `(1 + ε/2.5)² ≤ 1 + ε` for `ε ≤ 1`.
 //!
-//! All three stages honor the requested thread count and are deterministic
-//! for a fixed seed: the output is byte-identical for any accepted thread
-//! count (marking uses per-vertex seeded RNG streams, extraction produces
-//! the sequential CSR layout, and the parallel greedy computes the
-//! lexicographically-first maximal matching).
+//! The stages run in [`Backend::solve`](crate::backend::Backend::solve)
+//! (in memory) and
+//! [`Backend::solve_streamed`](crate::backend::Backend::solve_streamed)
+//! (out of core); this module holds what they share: the result type,
+//! the stage-ε split, and the match stage on a pre-built sparsifier.
 
 use crate::params::SparsifierParams;
-use crate::scratch::PipelineScratch;
-use crate::sparsifier::{
-    mark_edges_parallel, mark_edges_sequential_into, SparsifierStats, ThreadCountError, MAX_THREADS,
-};
-use rand::Rng;
+use crate::sparsifier::SparsifierStats;
 use sparsimatch_graph::adjacency::ProbeCounts;
-use sparsimatch_graph::csr::{from_marked_edges, CsrGraph};
-use sparsimatch_matching::bounded_aug::{
-    approx_maximum_matching_from, eliminate_augmenting_paths_up_to_with, max_path_len_for_eps,
-    AugStats,
-};
-use sparsimatch_matching::greedy::{
-    greedy_maximal_matching, greedy_maximal_matching_into, greedy_maximal_matching_parallel,
-};
+use sparsimatch_graph::csr::CsrGraph;
+use sparsimatch_matching::bounded_aug::{approx_maximum_matching_from, AugStats};
+use sparsimatch_matching::greedy::greedy_maximal_matching;
 use sparsimatch_matching::Matching;
-use sparsimatch_obs::{keys, WorkMeter};
-use std::sync::OnceLock;
-use std::time::Instant;
-
-/// Below this many *input* edges the mark stage ignores the requested
-/// thread count and runs sequentially: worker spawn plus shard merge
-/// overhead exceeds the marking work itself.
-const MARK_PARALLEL_CUTOFF: usize = 1 << 17;
-
-/// Below this many *sparsifier* edges the match stage runs sequentially.
-/// The committed bench baseline showed the parallel greedy's local-minima
-/// rounds an order of magnitude slower than the sequential scan on an
-/// `O(n·Δ)`-sized sparsifier (clique family: 235µs at one thread vs 2.6ms
-/// at two), so small extracted graphs always take the sequential path.
-const MATCH_PARALLEL_CUTOFF: usize = 1 << 17;
-
-/// Whether this host can run more than one worker at once (cached). On a
-/// single-core host every stage takes its sequential path regardless of
-/// the requested thread count — the output is byte-identical either way,
-/// so this is purely a latency decision.
-fn host_has_parallelism() -> bool {
-    static CACHE: OnceLock<bool> = OnceLock::new();
-    *CACHE.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(|p| p.get() > 1)
-            .unwrap_or(false)
-    })
-}
-
-/// Adaptive dispatch: the worker count a stage should actually use for
-/// `work_items` units of work, given the caller asked for `requested`
-/// threads. Every stage is thread-count invariant, so falling back to one
-/// worker never changes the output — only the wall clock.
-fn stage_threads(requested: usize, work_items: usize, cutoff: usize) -> usize {
-    if requested == 1 || !host_has_parallelism() || work_items < cutoff {
-        1
-    } else {
-        requested
-    }
-}
 
 /// Everything the pipeline measured while running.
 #[derive(Clone, Debug)]
@@ -104,209 +55,6 @@ pub fn stage_params(params: &SparsifierParams) -> SparsifierParams {
     SparsifierParams::scaled(params.beta, eps_stage, scale.max(1e-9))
 }
 
-/// Theorem 3.1: compute a `(1+ε)`-approximate MCM of `g` by sparsifying
-/// and matching on the sparsifier. `params.eps` is the *end-to-end* target;
-/// both stages run at [`stage_eps`].
-///
-/// Marking draws from deterministically seeded per-vertex RNG streams, so
-/// the result depends only on `seed` — never on `threads`, which sets the
-/// worker count for *every* stage (marking, CSR extraction, and greedy
-/// matching). Rejects `threads` outside
-/// `1..=`[`crate::sparsifier::MAX_THREADS`] with a [`ThreadCountError`].
-///
-/// # Examples
-///
-/// A clique has neighborhood independence β = 1 and a perfect matching;
-/// the pipeline returns a valid matching of the *original* graph within
-/// the end-to-end `(1+ε)` target:
-///
-/// ```
-/// use sparsimatch_core::params::SparsifierParams;
-/// use sparsimatch_core::pipeline::approx_mcm_via_sparsifier;
-/// use sparsimatch_graph::generators::clique;
-///
-/// let g = clique(40); // exact MCM = 20
-/// let params = SparsifierParams::practical(1, 0.5);
-/// let result = approx_mcm_via_sparsifier(&g, &params, 7, 1).unwrap();
-/// assert!(result.matching.is_valid_for(&g));
-/// assert!(20.0 <= (1.0 + params.eps) * result.matching.len() as f64);
-/// ```
-pub fn approx_mcm_via_sparsifier(
-    g: &CsrGraph,
-    params: &SparsifierParams,
-    seed: u64,
-    threads: usize,
-) -> Result<PipelineResult, ThreadCountError> {
-    let mut scratch = PipelineScratch::new();
-    approx_mcm_via_sparsifier_impl(g, params, seed, threads, None, &mut scratch)?;
-    Ok(scratch.into_result())
-}
-
-/// [`approx_mcm_via_sparsifier`] writing through a caller-owned
-/// [`PipelineScratch`]: identical output (the one-shot entry points are
-/// thin wrappers over this very path with a fresh arena), but every
-/// buffer the run needs is reused from `scratch`. After a warm-up call on
-/// a given input size, repeat calls perform zero heap allocations on the
-/// sequential path. The returned reference points at
-/// [`PipelineScratch::result`], which stays valid until the next run
-/// through the same arena.
-pub fn approx_mcm_via_sparsifier_with_scratch<'s>(
-    g: &CsrGraph,
-    params: &SparsifierParams,
-    seed: u64,
-    threads: usize,
-    scratch: &'s mut PipelineScratch,
-) -> Result<&'s PipelineResult, ThreadCountError> {
-    approx_mcm_via_sparsifier_impl(g, params, seed, threads, None, scratch)?;
-    Ok(scratch.result())
-}
-
-/// [`approx_mcm_via_sparsifier_with_scratch`] with unified work
-/// accounting (see [`approx_mcm_via_sparsifier_metered`]; metering itself
-/// allocates inside the meter, so the zero-allocation guarantee applies
-/// to the unmetered scratch path).
-pub fn approx_mcm_via_sparsifier_with_scratch_metered<'s>(
-    g: &CsrGraph,
-    params: &SparsifierParams,
-    seed: u64,
-    threads: usize,
-    meter: &mut WorkMeter,
-    scratch: &'s mut PipelineScratch,
-) -> Result<&'s PipelineResult, ThreadCountError> {
-    approx_mcm_via_sparsifier_impl(g, params, seed, threads, Some(meter), scratch)?;
-    Ok(scratch.result())
-}
-
-/// [`approx_mcm_via_sparsifier`] with unified work accounting: adjacency
-/// probes, sampler RNG draws and overlay writes, sparsifier size, and
-/// augmentation work are mirrored into `meter` under the shared
-/// [`sparsimatch_obs::keys`] names, and per-stage wall-clock spans are
-/// recorded under [`keys::STAGE_MARK`], [`keys::STAGE_EXTRACT`],
-/// [`keys::STAGE_MATCH`], and [`keys::PIPELINE_TOTAL`]. The result is
-/// identical to the unmetered pipeline for the same seed and any thread
-/// count.
-pub fn approx_mcm_via_sparsifier_metered(
-    g: &CsrGraph,
-    params: &SparsifierParams,
-    seed: u64,
-    threads: usize,
-    meter: &mut WorkMeter,
-) -> Result<PipelineResult, ThreadCountError> {
-    let mut scratch = PipelineScratch::new();
-    approx_mcm_via_sparsifier_impl(g, params, seed, threads, Some(meter), &mut scratch)?;
-    Ok(scratch.into_result())
-}
-
-/// The single pipeline body behind every entry point: runs the three
-/// stages through `scratch` and leaves the result in
-/// [`PipelineScratch::result`]. Warm-vs-cold byte identity is structural —
-/// there is no second implementation to diverge.
-fn approx_mcm_via_sparsifier_impl(
-    g: &CsrGraph,
-    params: &SparsifierParams,
-    seed: u64,
-    threads: usize,
-    meter: Option<&mut WorkMeter>,
-    scratch: &mut PipelineScratch,
-) -> Result<(), ThreadCountError> {
-    // The sequential fallbacks below bypass `mark_edges_parallel`'s
-    // validation, so reject bad thread counts up front.
-    if threads == 0 || threads > MAX_THREADS {
-        return Err(ThreadCountError { requested: threads });
-    }
-    let total_start = Instant::now();
-    let eps_stage = stage_eps(params.eps);
-    let stage_params = stage_params(params);
-
-    let PipelineScratch {
-        sampler,
-        indices,
-        keep,
-        ids,
-        csr,
-        searcher,
-        result,
-        ..
-    } = scratch;
-
-    // Stage 1: mark edges. Small inputs take the sequential in-place path
-    // (same marks — per-vertex RNG streams don't care who draws them).
-    let mark_start = Instant::now();
-    let (mark_stats, rng_draws, overlay_writes) =
-        if stage_threads(threads, g.num_edges(), MARK_PARALLEL_CUTOFF) == 1 {
-            let summary =
-                mark_edges_sequential_into(g, &stage_params, seed, sampler, indices, keep, ids);
-            (summary.stats, summary.rng_draws, summary.overlay_writes)
-        } else {
-            let marks = mark_edges_parallel(g, &stage_params, seed, threads)?;
-            *ids = marks.ids;
-            (marks.stats, marks.rng_draws, marks.overlay_writes)
-        };
-    let mark_nanos = mark_start.elapsed().as_nanos();
-
-    // Stage 2: extract the sparsifier CSR (byte-identical to the
-    // sequential layout for any thread count). The in-place rebuild *is*
-    // the sequential layout; the parallel builder is only worth spawning
-    // when the host can actually run the workers.
-    let extract_start = Instant::now();
-    let sparse: &CsrGraph = if !host_has_parallelism() || threads == 1 {
-        csr.rebuild_from_marked(g, ids)
-    } else {
-        csr.replace(from_marked_edges(g, ids, threads))
-    };
-    let extract_nanos = extract_start.elapsed().as_nanos();
-
-    result.sparsifier = mark_stats;
-    result.sparsifier.edges = sparse.num_edges();
-    // The CSR fast path reads the graph directly, so probes are accounted
-    // analytically: two degree reads per vertex (the low-degree check and
-    // the one inside the sampler) and one adjacency-entry read per mark.
-    result.probes = ProbeCounts {
-        degree_probes: 2 * g.num_vertices() as u64,
-        neighbor_probes: result.sparsifier.marks_placed as u64,
-    };
-
-    // Stage 3: greedy init + bounded augmentation on the sparsifier. The
-    // parallel greedy computes the lexicographically-first maximal
-    // matching — exactly the sequential scan's output — so the dispatch
-    // only picks the cheaper route for the extracted size.
-    let match_start = Instant::now();
-    if stage_threads(threads, sparse.num_edges(), MATCH_PARALLEL_CUTOFF) == 1 {
-        greedy_maximal_matching_into(sparse, &mut result.matching);
-    } else {
-        result.matching = greedy_maximal_matching_parallel(sparse, threads);
-    }
-    result.aug = eliminate_augmenting_paths_up_to_with(
-        sparse,
-        &mut result.matching,
-        max_path_len_for_eps(eps_stage),
-        searcher,
-    );
-    let match_nanos = match_start.elapsed().as_nanos();
-    debug_assert!(
-        result.matching.is_valid_for(g),
-        "sparsifier must be a subgraph"
-    );
-
-    if let Some(meter) = meter {
-        meter.add(keys::DEGREE_PROBES, result.probes.degree_probes);
-        meter.add(keys::NEIGHBOR_PROBES, result.probes.neighbor_probes);
-        meter.add(keys::SPARSIFIER_EDGES, result.sparsifier.edges as u64);
-        meter.add(keys::RNG_DRAWS, rng_draws);
-        meter.add(keys::OVERLAY_WRITES, overlay_writes);
-        meter.add(keys::EDGE_VISITS, result.aug.edge_visits);
-        meter.add(keys::AUG_SEARCHES, result.aug.searches as u64);
-        meter.add(keys::AUGMENTATIONS, result.aug.augmentations as u64);
-        meter.add_span(keys::STAGE_MARK, 1, mark_nanos);
-        meter.add_span(keys::STAGE_EXTRACT, 1, extract_nanos);
-        meter.add_span(keys::STAGE_MATCH, 1, match_nanos);
-        meter.add_span(keys::PIPELINE_TOTAL, 1, total_start.elapsed().as_nanos());
-    }
-
-    scratch.note_high_water();
-    Ok(())
-}
-
 /// The same pipeline on a pre-built sparsifier (used by the dynamic
 /// scheme, which rebuilds the sparsifier itself under a work budget).
 pub fn approx_mcm_on_sparsifier(sparse: &CsrGraph, eps: f64) -> (Matching, AugStats) {
@@ -314,28 +62,31 @@ pub fn approx_mcm_on_sparsifier(sparse: &CsrGraph, eps: f64) -> (Matching, AugSt
     approx_maximum_matching_from(sparse, init, eps)
 }
 
-/// Convenience wrapper returning a [`crate::sparsifier::Sparsifier`] plus
-/// the matching (CSR path with full stats, caller-supplied RNG stream, no
-/// probe counting).
-pub fn approx_mcm_with_stats(
-    g: &CsrGraph,
-    params: &SparsifierParams,
-    rng: &mut impl Rng,
-) -> (crate::sparsifier::Sparsifier, Matching) {
-    let eps_stage = stage_eps(params.eps);
-    let s = crate::sparsifier::build_sparsifier(g, params, rng);
-    let (m, _) = approx_mcm_on_sparsifier(&s.graph, eps_stage);
-    (s, m)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::Backend;
+    use crate::scratch::PipelineScratch;
+    use crate::sparsifier::ThreadCountError;
     use rand::{rngs::StdRng, SeedableRng};
     use sparsimatch_graph::generators::{
         clique, clique_union, line_graph, unit_disk, CliqueUnionConfig, UnitDiskConfig,
     };
     use sparsimatch_matching::blossom::maximum_matching;
+    use sparsimatch_obs::{keys, WorkMeter};
+
+    /// One-shot `delta` solve through a fresh arena.
+    fn run(
+        g: &CsrGraph,
+        p: &SparsifierParams,
+        seed: u64,
+        threads: usize,
+        meter: Option<&mut WorkMeter>,
+    ) -> Result<PipelineResult, ThreadCountError> {
+        Backend::Delta(*p)
+            .solve(g, seed, threads, meter, &mut PipelineScratch::new())
+            .cloned()
+    }
 
     #[test]
     fn stage_eps_composes() {
@@ -351,7 +102,7 @@ mod tests {
         let p = SparsifierParams::practical(1, 0.3);
         let exact = maximum_matching(&g).len(); // 100
         for seed in [1u64, 2, 3] {
-            let r = approx_mcm_via_sparsifier(&g, &p, seed, 1).unwrap();
+            let r = run(&g, &p, seed, 1, None).unwrap();
             assert!(r.matching.is_valid_for(&g));
             assert!(
                 r.matching.len() as f64 * 1.3 >= exact as f64,
@@ -374,7 +125,7 @@ mod tests {
         );
         let p = SparsifierParams::practical(3, 0.4);
         let exact = maximum_matching(&g).len();
-        let r = approx_mcm_via_sparsifier(&g, &p, 2, 2).unwrap();
+        let r = run(&g, &p, 2, 2, None).unwrap();
         assert!(r.matching.len() as f64 * 1.4 >= exact as f64);
     }
 
@@ -382,7 +133,7 @@ mod tests {
     fn probes_sublinear_on_dense_graph() {
         let g = clique(500); // m ≈ 125k
         let p = SparsifierParams::practical(1, 0.5);
-        let r = approx_mcm_via_sparsifier(&g, &p, 3, 2).unwrap();
+        let r = run(&g, &p, 3, 2, None).unwrap();
         let m = g.num_edges() as u64;
         assert!(
             r.probes.total() < m / 2,
@@ -401,7 +152,7 @@ mod tests {
         }
         let p = SparsifierParams::practical(2, 0.4);
         let exact = maximum_matching(&g).len();
-        let r = approx_mcm_via_sparsifier(&g, &p, 4, 1).unwrap();
+        let r = run(&g, &p, 4, 1, None).unwrap();
         assert!(r.matching.len() as f64 * 1.4 >= exact as f64);
     }
 
@@ -414,7 +165,7 @@ mod tests {
         );
         let p = SparsifierParams::practical(5, 0.4);
         let exact = maximum_matching(&g).len();
-        let r = approx_mcm_via_sparsifier(&g, &p, 5, 4).unwrap();
+        let r = run(&g, &p, 5, 4, None).unwrap();
         assert!(r.matching.len() as f64 * 1.4 >= exact as f64);
     }
 
@@ -423,8 +174,8 @@ mod tests {
         let g = clique(120);
         let p = SparsifierParams::practical(1, 0.4);
         let mut meter = WorkMeter::new();
-        let plain = approx_mcm_via_sparsifier(&g, &p, 7, 2).unwrap();
-        let metered = approx_mcm_via_sparsifier_metered(&g, &p, 7, 2, &mut meter).unwrap();
+        let plain = run(&g, &p, 7, 2, None).unwrap();
+        let metered = run(&g, &p, 7, 2, Some(&mut meter)).unwrap();
         let e1: Vec<_> = plain.matching.pairs().collect();
         let e2: Vec<_> = metered.matching.pairs().collect();
         assert_eq!(e1, e2, "metering must not perturb the pipeline");
@@ -459,14 +210,14 @@ mod tests {
     fn pipeline_is_thread_count_invariant() {
         let g = clique(150);
         let p = SparsifierParams::practical(1, 0.4);
-        let reference = approx_mcm_via_sparsifier(&g, &p, 13, 1).unwrap();
+        let reference = run(&g, &p, 13, 1, None).unwrap();
         let e1: Vec<_> = reference.matching.pairs().collect();
         let mut m1 = WorkMeter::new();
-        approx_mcm_via_sparsifier_metered(&g, &p, 13, 1, &mut m1).unwrap();
+        run(&g, &p, 13, 1, Some(&mut m1)).unwrap();
         let c1: Vec<_> = m1.counters().map(|(k, v)| (k.to_string(), v)).collect();
         for threads in [2usize, 4, 8] {
             let mut m = WorkMeter::new();
-            let r = approx_mcm_via_sparsifier_metered(&g, &p, 13, threads, &mut m).unwrap();
+            let r = run(&g, &p, 13, threads, Some(&mut m)).unwrap();
             let e: Vec<_> = r.matching.pairs().collect();
             assert_eq!(e1, e, "threads = {threads}");
             assert_eq!(reference.probes, r.probes);
@@ -474,8 +225,8 @@ mod tests {
             assert_eq!(c1, c, "metered totals, threads = {threads}");
         }
         assert!(reference.matching.is_valid_for(&g));
-        assert!(approx_mcm_via_sparsifier(&g, &p, 13, 0).is_err());
-        assert!(approx_mcm_via_sparsifier(&g, &p, 13, 65).is_err());
+        assert!(run(&g, &p, 13, 0, None).is_err());
+        assert!(run(&g, &p, 13, 65, None).is_err());
     }
 
     #[test]
@@ -502,10 +253,10 @@ mod tests {
         for (i, g) in graphs.iter().enumerate() {
             for seed in [3u64, 21] {
                 for threads in [1usize, 2, 4, 8] {
-                    let cold = approx_mcm_via_sparsifier(g, &p, seed, threads).unwrap();
-                    let warm =
-                        approx_mcm_via_sparsifier_with_scratch(g, &p, seed, threads, &mut scratch)
-                            .unwrap();
+                    let cold = run(g, &p, seed, threads, None).unwrap();
+                    let warm = Backend::Delta(p)
+                        .solve(g, seed, threads, None, &mut scratch)
+                        .unwrap();
                     assert_eq!(
                         cold.matching, warm.matching,
                         "graph {i} seed {seed} threads {threads}"
@@ -547,19 +298,14 @@ mod tests {
         let mut scratch = crate::scratch::PipelineScratch::new();
         let mut m_fresh = WorkMeter::new();
         let mut m_warm = WorkMeter::new();
-        let fresh = approx_mcm_via_sparsifier_metered(&g, &p, 11, 1, &mut m_fresh).unwrap();
+        let fresh = run(&g, &p, 11, 1, Some(&mut m_fresh)).unwrap();
         // Warm the arena first so the metered run below is a steady-state
         // repeat, then compare counters (spans are wall clock — skipped).
-        approx_mcm_via_sparsifier_with_scratch(&g, &p, 11, 1, &mut scratch).unwrap();
-        let warm = approx_mcm_via_sparsifier_with_scratch_metered(
-            &g,
-            &p,
-            11,
-            1,
-            &mut m_warm,
-            &mut scratch,
-        )
-        .unwrap();
+        let backend = Backend::Delta(p);
+        backend.solve(&g, 11, 1, None, &mut scratch).unwrap();
+        let warm = backend
+            .solve(&g, 11, 1, Some(&mut m_warm), &mut scratch)
+            .unwrap();
         assert_eq!(fresh.matching, warm.matching);
         let fresh_counters: Vec<_> = m_fresh
             .counters()
@@ -567,27 +313,5 @@ mod tests {
             .collect();
         let warm_counters: Vec<_> = m_warm.counters().map(|(k, v)| (k.to_string(), v)).collect();
         assert_eq!(fresh_counters, warm_counters);
-    }
-
-    #[test]
-    fn scratch_rejects_bad_thread_counts() {
-        let g = clique(30);
-        let p = SparsifierParams::practical(1, 0.5);
-        let mut scratch = crate::scratch::PipelineScratch::new();
-        assert!(approx_mcm_via_sparsifier_with_scratch(&g, &p, 1, 0, &mut scratch).is_err());
-        assert!(approx_mcm_via_sparsifier_with_scratch(&g, &p, 1, 65, &mut scratch).is_err());
-        // And the arena still works after a rejected call.
-        assert!(approx_mcm_via_sparsifier_with_scratch(&g, &p, 1, 1, &mut scratch).is_ok());
-    }
-
-    #[test]
-    fn with_stats_variant_agrees() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let g = clique(100);
-        let p = SparsifierParams::practical(1, 0.4);
-        let (s, m) = approx_mcm_with_stats(&g, &p, &mut rng);
-        assert!(m.is_valid_for(&g));
-        assert!(m.is_valid_for(&s.graph));
-        assert!(s.stats.edges > 0);
     }
 }

@@ -6,15 +6,13 @@
 //! semantics: a buffer is logically emptied between runs but its heap
 //! capacity is retained. Callers that solve repeatedly (the dynamic
 //! matcher, the check harness's seed sweeps, the benchmark loops) hold one
-//! arena and hand it to
-//! [`crate::pipeline::approx_mcm_via_sparsifier_with_scratch`]; after the
+//! arena and hand it to [`crate::backend::Backend::solve`]; after the
 //! first (cold) call on a given input size, subsequent warm calls perform
 //! **zero** heap allocations on the sequential path (pinned by the
 //! `alloc-count`-gated test suite).
 //!
-//! The one-shot entry points are thin wrappers that build a fresh arena
-//! per call, so warm and cold runs execute the *same* code path and are
-//! byte-identical by construction.
+//! A one-shot caller passes a fresh arena, so warm and cold runs execute
+//! the *same* code path and are byte-identical by construction.
 
 use crate::pipeline::PipelineResult;
 use crate::sampler::PosArraySampler;
@@ -28,20 +26,21 @@ use sparsimatch_matching::Matching;
 /// The pipeline's reusable buffer bundle. See the [module docs](self).
 ///
 /// ```
+/// use sparsimatch_core::backend::Backend;
 /// use sparsimatch_core::params::SparsifierParams;
-/// use sparsimatch_core::pipeline::approx_mcm_via_sparsifier_with_scratch;
 /// use sparsimatch_core::scratch::PipelineScratch;
 /// use sparsimatch_graph::generators::clique;
 ///
 /// let g = clique(40);
-/// let params = SparsifierParams::practical(1, 0.5);
+/// let backend = Backend::Delta(SparsifierParams::practical(1, 0.5));
 /// let mut scratch = PipelineScratch::new();
-/// let warm_up = approx_mcm_via_sparsifier_with_scratch(&g, &params, 7, 1, &mut scratch)
+/// let warm_up = backend
+///     .solve(&g, 7, 1, None, &mut scratch)
 ///     .unwrap()
 ///     .matching
 ///     .len();
 /// // Warm repeat: same output, no allocations on the sequential path.
-/// let warm = approx_mcm_via_sparsifier_with_scratch(&g, &params, 7, 1, &mut scratch).unwrap();
+/// let warm = backend.solve(&g, 7, 1, None, &mut scratch).unwrap();
 /// assert_eq!(warm.matching.len(), warm_up);
 /// assert!(scratch.high_water_bytes() > 0);
 /// ```
@@ -114,12 +113,6 @@ impl PipelineScratch {
     /// The result of the most recent pipeline run through this arena.
     pub fn result(&self) -> &PipelineResult {
         &self.result
-    }
-
-    /// Consume the arena, keeping only the last result (the one-shot
-    /// wrapper path).
-    pub fn into_result(self) -> PipelineResult {
-        self.result
     }
 
     /// Heap bytes of buffer capacity currently held across all components

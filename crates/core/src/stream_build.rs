@@ -35,7 +35,6 @@
 //! buffers excluded) — so reports are machine- and allocator-independent.
 
 use crate::params::SparsifierParams;
-use crate::pipeline::{approx_mcm_on_sparsifier, stage_eps, PipelineResult};
 use crate::sampler::PosArraySampler;
 use crate::sparsifier::{Sparsifier, SparsifierStats};
 use rand::SeedableRng;
@@ -173,8 +172,8 @@ pub fn mirror_io_faults(stats: &IoFaultStats, meter: &mut WorkMeter) {
 /// per-pass state it owns, runs one full scan, and reports the
 /// half-edges it visited (charged to `edges_scanned` even when the scan
 /// aborts — the work was done, so the accounting keeps it).
-fn run_pass<S, F>(
-    src: &mut S,
+fn run_pass<F>(
+    src: &mut dyn EdgeStreamSource,
     pass: u8,
     policy: &RetryPolicy,
     edges_scanned: &mut u64,
@@ -182,8 +181,7 @@ fn run_pass<S, F>(
     mut body: F,
 ) -> Result<(), StreamBuildError>
 where
-    S: EdgeStreamSource,
-    F: FnMut(&mut S) -> (u64, Result<(), ReadError>),
+    F: FnMut(&mut dyn EdgeStreamSource) -> (u64, Result<(), ReadError>),
 {
     let mut attempt = 0u32;
     loop {
@@ -243,44 +241,20 @@ pub struct StreamBuildReport {
 /// CSR is byte-identical to the in-memory
 /// [`crate::sparsifier::build_sparsifier_parallel`] at any thread count,
 /// and the stats agree field for field.
+///
+/// A pass that fails is re-run from scratch (its state fully reset) up
+/// to `policy.max_attempts` times. Because pass state replays
+/// deterministically from `(degrees, seed)`, a recovered build is
+/// byte-identical to a fault-free one; the report records the extra scan
+/// work (`edges_scanned`) and the restarts (`io_retries`), which also
+/// land on the `meter`'s `io.retries` key, alongside whatever the caller
+/// mirrors from a fault-injecting source via [`mirror_io_faults`].
 pub fn build_sparsifier_streamed(
-    src: &mut impl EdgeStreamSource,
-    params: &SparsifierParams,
-    seed: u64,
-) -> Result<(Sparsifier, StreamBuildReport), ReadError> {
-    build_sparsifier_streamed_with_retry(src, params, seed, &RetryPolicy::none()).map_err(|e| {
-        match e {
-            StreamBuildError::RetriesExhausted { last, .. } => last,
-        }
-    })
-}
-
-/// [`build_sparsifier_streamed`] under a [`RetryPolicy`]: a pass that
-/// fails is re-run from scratch (its state fully reset) up to
-/// `max_attempts` times. Because pass state replays deterministically
-/// from `(degrees, seed)`, a recovered build is byte-identical to a
-/// fault-free one; the report records the extra scan work
-/// (`edges_scanned`) and the restarts (`io_retries`).
-pub fn build_sparsifier_streamed_with_retry(
-    src: &mut impl EdgeStreamSource,
+    src: &mut dyn EdgeStreamSource,
     params: &SparsifierParams,
     seed: u64,
     policy: &RetryPolicy,
-) -> Result<(Sparsifier, StreamBuildReport), StreamBuildError> {
-    let mut meter = WorkMeter::new();
-    build_sparsifier_streamed_with_retry_metered(src, params, seed, policy, &mut meter)
-}
-
-/// [`build_sparsifier_streamed_with_retry`] with unified accounting:
-/// restarts land on the meter's `io.retries` key (and from there in
-/// `--metrics-json`), alongside whatever the caller mirrors from a
-/// fault-injecting source via [`mirror_io_faults`].
-pub fn build_sparsifier_streamed_with_retry_metered(
-    src: &mut impl EdgeStreamSource,
-    params: &SparsifierParams,
-    seed: u64,
-    policy: &RetryPolicy,
-    meter: &mut WorkMeter,
+    meter: Option<&mut WorkMeter>,
 ) -> Result<(Sparsifier, StreamBuildReport), StreamBuildError> {
     let n = src.num_vertices();
     let m = src.num_edges();
@@ -439,7 +413,9 @@ pub fn build_sparsifier_streamed_with_retry_metered(
     let layout_resident = sparsifier_bytes + (kept_capacity - m_sparse) * 8 + n * 4;
     peak = peak.max(layout_resident);
 
-    meter.add(keys::IO_RETRIES, io_retries);
+    if let Some(meter) = meter {
+        meter.add(keys::IO_RETRIES, io_retries);
+    }
     let report = StreamBuildReport {
         peak_resident_bytes: peak,
         graph_bytes: CsrGraph::projected_memory_bytes(n, m),
@@ -454,56 +430,11 @@ pub fn build_sparsifier_streamed_with_retry_metered(
     Ok((Sparsifier { graph, stats }, report))
 }
 
-/// Theorem 3.1 end-to-end, out of core: stream-build the sparsifier,
-/// then run the pipeline's sequential match stage (greedy + bounded
-/// augmentation at [`stage_eps`]) on it. For a stream of graph `g`, the
-/// returned [`PipelineResult`] — matching pairs, sparsifier stats,
-/// probes, augmentation stats — is identical to
-/// `approx_mcm_via_sparsifier(&g, params, seed, 1)`; only the resident
-/// memory differs, and the report quantifies by how much.
-pub fn approx_mcm_streamed(
-    src: &mut impl EdgeStreamSource,
-    params: &SparsifierParams,
-    seed: u64,
-) -> Result<(PipelineResult, StreamBuildReport), ReadError> {
-    approx_mcm_streamed_with_retry(src, params, seed, &RetryPolicy::none()).map_err(|e| match e {
-        StreamBuildError::RetriesExhausted { last, .. } => last,
-    })
-}
-
-/// [`approx_mcm_streamed`] under a [`RetryPolicy`]: the build stage
-/// retries failed passes; the match stage runs on the recovered
-/// sparsifier exactly as on a fault-free one. Under any recoverable
-/// fault plan the [`PipelineResult`] is identical to the fault-free
-/// streamed (and in-memory) pipeline — the `chaos-stream` check oracle
-/// fingerprints exactly this claim.
-pub fn approx_mcm_streamed_with_retry(
-    src: &mut impl EdgeStreamSource,
-    params: &SparsifierParams,
-    seed: u64,
-    policy: &RetryPolicy,
-) -> Result<(PipelineResult, StreamBuildReport), StreamBuildError> {
-    let eps_stage = stage_eps(params.eps);
-    // The same Δ-rescaling the in-memory pipeline applies.
-    let stage_params = crate::pipeline::stage_params(params);
-    let (sparsifier, report) =
-        build_sparsifier_streamed_with_retry(src, &stage_params, seed, policy)?;
-    let (matching, aug) = approx_mcm_on_sparsifier(&sparsifier.graph, eps_stage);
-    Ok((
-        PipelineResult {
-            matching,
-            sparsifier: sparsifier.stats,
-            probes: report.probes,
-            aug,
-        },
-        report,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::approx_mcm_via_sparsifier;
+    use crate::backend::Backend;
+    use crate::scratch::PipelineScratch;
     use crate::sparsifier::build_sparsifier_parallel;
     use rand::{rngs::StdRng, SeedableRng};
     use sparsimatch_graph::edge_stream::FileEdgeSource;
@@ -552,7 +483,9 @@ mod tests {
         for (name, mut g) in family_zoo() {
             for seed in [0u64, 7, 41] {
                 let reference = build_sparsifier_parallel(&g, &p, seed, 1).unwrap();
-                let (streamed, report) = build_sparsifier_streamed(&mut g, &p, seed).unwrap();
+                let (streamed, report) =
+                    build_sparsifier_streamed(&mut g, &p, seed, &RetryPolicy::none(), None)
+                        .unwrap();
                 assert_eq!(
                     streamed.graph, reference.graph,
                     "{name} seed {seed}: sparsifier CSR diverged"
@@ -583,9 +516,11 @@ mod tests {
         write_edge_list_file(&g, &path).unwrap();
         let mut file_src = FileEdgeSource::open(&path).unwrap();
         for seed in [3u64, 19] {
-            let (from_mem, mem_report) = build_sparsifier_streamed(&mut g, &p, seed).unwrap();
+            let (from_mem, mem_report) =
+                build_sparsifier_streamed(&mut g, &p, seed, &RetryPolicy::none(), None).unwrap();
             let (from_file, file_report) =
-                build_sparsifier_streamed(&mut file_src, &p, seed).unwrap();
+                build_sparsifier_streamed(&mut file_src, &p, seed, &RetryPolicy::none(), None)
+                    .unwrap();
             assert_eq!(from_file.graph, from_mem.graph, "seed {seed}");
             assert_stats_eq(&from_file.stats, &from_mem.stats, "file-vs-mem");
             assert_eq!(file_report, mem_report, "seed {seed}: reports diverged");
@@ -598,8 +533,12 @@ mod tests {
         let p = SparsifierParams::practical(2, 0.4);
         for (name, mut g) in family_zoo() {
             for seed in [2u64, 23] {
-                let reference = approx_mcm_via_sparsifier(&g, &p, seed, 1).unwrap();
-                let (streamed, _) = approx_mcm_streamed(&mut g, &p, seed).unwrap();
+                let backend = Backend::Delta(p);
+                let mut scratch = PipelineScratch::new();
+                let reference = backend.solve(&g, seed, 1, None, &mut scratch).unwrap();
+                let (streamed, _) = backend
+                    .solve_streamed(&mut g, seed, &RetryPolicy::none(), None)
+                    .unwrap();
                 assert_eq!(
                     streamed.matching, reference.matching,
                     "{name} seed {seed}: matching diverged"
@@ -625,7 +564,8 @@ mod tests {
         // show up in the report.
         let mut g = clique(600); // m ≈ 180k, every degree 599
         let p = SparsifierParams::practical(1, 0.3);
-        let (s, report) = build_sparsifier_streamed(&mut g, &p, 11).unwrap();
+        let (s, report) =
+            build_sparsifier_streamed(&mut g, &p, 11, &RetryPolicy::none(), None).unwrap();
         assert!(s.stats.edges < g.num_edges() / 4);
         assert!(
             report.peak_resident_bytes < report.graph_bytes,
@@ -650,17 +590,18 @@ mod tests {
         };
         for (name, mut g) in family_zoo() {
             for plan_seed in 0u64..4 {
-                let (clean, clean_report) = build_sparsifier_streamed(&mut g, &p, 7).unwrap();
+                let (clean, clean_report) =
+                    build_sparsifier_streamed(&mut g, &p, 7, &RetryPolicy::none(), None).unwrap();
                 // Horizon 3 with 4 attempts per pass: recovery guaranteed.
                 let plan = IoFaultPlan::new(plan_seed, rates).with_horizon(3);
                 let mut faulty = FaultyEdgeSource::new(g.clone(), plan);
                 let mut meter = WorkMeter::new();
-                let (recovered, report) = build_sparsifier_streamed_with_retry_metered(
+                let (recovered, report) = build_sparsifier_streamed(
                     &mut faulty,
                     &p,
                     7,
                     &RetryPolicy::attempts(4),
-                    &mut meter,
+                    Some(&mut meter),
                 )
                 .unwrap();
                 assert_eq!(
@@ -695,9 +636,8 @@ mod tests {
             },
         );
         let mut faulty = FaultyEdgeSource::new(g, plan);
-        let err =
-            build_sparsifier_streamed_with_retry(&mut faulty, &p, 7, &RetryPolicy::attempts(3))
-                .unwrap_err();
+        let err = build_sparsifier_streamed(&mut faulty, &p, 7, &RetryPolicy::attempts(3), None)
+            .unwrap_err();
         match err {
             StreamBuildError::RetriesExhausted {
                 pass,

@@ -12,9 +12,7 @@
 use proptest::prelude::*;
 use sparsimatch_core::params::SparsifierParams;
 use sparsimatch_core::sparsifier::build_sparsifier_parallel;
-use sparsimatch_core::stream_build::{
-    build_sparsifier_streamed, build_sparsifier_streamed_with_retry, RetryPolicy,
-};
+use sparsimatch_core::stream_build::{build_sparsifier_streamed, RetryPolicy};
 use sparsimatch_graph::csr::from_edges;
 use sparsimatch_graph::edge_stream::{
     FaultyEdgeSource, InjectedIoFault, IoFaultPlan, IoFaultRates,
@@ -91,10 +89,10 @@ proptest! {
         let policy = RetryPolicy::attempts(horizon as u32 + 1);
 
         let (clean, clean_report) =
-            build_sparsifier_streamed(&mut g.clone(), &p, seed).unwrap();
+            build_sparsifier_streamed(&mut g.clone(), &p, seed, &RetryPolicy::none(), None).unwrap();
         let mut faulty = FaultyEdgeSource::new(g.clone(), plan);
         let (recovered, report) =
-            build_sparsifier_streamed_with_retry(&mut faulty, &p, seed, &policy).unwrap();
+            build_sparsifier_streamed(&mut faulty, &p, seed, &policy, None).unwrap();
         let mem = build_sparsifier_parallel(&g, &p, seed, 1).unwrap();
 
         prop_assert_eq!(&recovered.graph, &clean.graph, "recovered vs fault-free streamed");

@@ -6,10 +6,11 @@
 //! in-memory one bit for bit.
 
 use proptest::prelude::*;
+use sparsimatch_core::backend::Backend;
 use sparsimatch_core::params::SparsifierParams;
-use sparsimatch_core::pipeline::approx_mcm_via_sparsifier;
+use sparsimatch_core::scratch::PipelineScratch;
 use sparsimatch_core::sparsifier::build_sparsifier_parallel;
-use sparsimatch_core::stream_build::{approx_mcm_streamed, build_sparsifier_streamed};
+use sparsimatch_core::stream_build::{build_sparsifier_streamed, RetryPolicy};
 use sparsimatch_graph::csr::from_edges;
 use sparsimatch_graph::edge_stream::FileEdgeSource;
 use sparsimatch_graph::io::write_edge_list_file;
@@ -37,8 +38,10 @@ proptest! {
         let p = SparsifierParams::with_delta(2, 0.5, delta);
 
         let mut src = FileEdgeSource::open(&path).unwrap();
-        let (streamed, report) = build_sparsifier_streamed(&mut src, &p, seed).unwrap();
-        let (streamed_pipe, _) = approx_mcm_streamed(&mut src, &p, seed).unwrap();
+        let none = RetryPolicy::none();
+        let (streamed, report) = build_sparsifier_streamed(&mut src, &p, seed, &none, None).unwrap();
+        let backend = Backend::Delta(p);
+        let (streamed_pipe, _) = backend.solve_streamed(&mut src, seed, &none, None).unwrap();
         std::fs::remove_file(&path).ok();
 
         for threads in [1usize, 2, 4] {
@@ -50,7 +53,8 @@ proptest! {
             prop_assert_eq!(streamed.stats.marks_placed, mem.stats.marks_placed);
             prop_assert_eq!(streamed.stats.edges, mem.stats.edges);
 
-            let mem_pipe = approx_mcm_via_sparsifier(&g, &p, seed, threads).unwrap();
+            let mut scratch = PipelineScratch::new();
+            let mem_pipe = backend.solve(&g, seed, threads, None, &mut scratch).unwrap();
             prop_assert_eq!(
                 &streamed_pipe.matching, &mem_pipe.matching,
                 "matching diverged at {} threads", threads

@@ -9,10 +9,8 @@
 #![cfg(feature = "alloc-count")]
 
 use rand::{rngs::StdRng, SeedableRng};
+use sparsimatch_core::backend::Backend;
 use sparsimatch_core::params::SparsifierParams;
-use sparsimatch_core::pipeline::{
-    approx_mcm_via_sparsifier, approx_mcm_via_sparsifier_with_scratch,
-};
 use sparsimatch_core::scratch::PipelineScratch;
 use sparsimatch_graph::csr::CsrGraph;
 use sparsimatch_graph::generators::{bipartite_gnp, clique, clique_union, CliqueUnionConfig};
@@ -50,17 +48,19 @@ fn families() -> Vec<(&'static str, CsrGraph, SparsifierParams)> {
 #[test]
 fn warm_scratch_repeat_solves_allocate_nothing() {
     for (name, g, params) in families() {
+        let backend = Backend::Delta(params);
         let mut scratch = PipelineScratch::new();
         for seed in [7u64, 8] {
-            let cold = approx_mcm_via_sparsifier(&g, &params, seed, 1).unwrap();
+            let cold = backend
+                .solve(&g, seed, 1, None, &mut PipelineScratch::new())
+                .unwrap()
+                .clone();
             // Warm-up: the first call on this (input, seed) may grow
             // buffers; everything after it must not.
-            approx_mcm_via_sparsifier_with_scratch(&g, &params, seed, 1, &mut scratch).unwrap();
+            backend.solve(&g, seed, 1, None, &mut scratch).unwrap();
             for rep in 0..3 {
                 let before = alloc::thread_totals();
-                let warm =
-                    approx_mcm_via_sparsifier_with_scratch(&g, &params, seed, 1, &mut scratch)
-                        .unwrap();
+                let warm = backend.solve(&g, seed, 1, None, &mut scratch).unwrap();
                 let after = alloc::thread_totals();
                 let identical = warm.matching == cold.matching;
                 assert_eq!(

@@ -4,16 +4,15 @@
 //! One [`SessionEngine`] lives behind each connection's worker. Its
 //! [`PipelineScratch`] survives across requests, so the session's second
 //! and later `solve`s hit the zero-allocation steady state the scratch
-//! arena exists for — and because every pipeline entry point runs the
-//! same implementation, a warm in-daemon solve is byte-identical to a
-//! one-shot CLI solve for the same graph and seed.
+//! arena exists for — and because every solve runs the one
+//! [`Backend::solve`] body, a warm in-daemon solve is byte-identical to
+//! a one-shot CLI solve for the same graph and seed.
 
 use crate::protocol::{ErrorCode, QueryWhat, Request, UpdateOp, WireError, PROTOCOL_VERSION};
 use rand::{rngs::StdRng, SeedableRng};
-use sparsimatch_core::backend::BackendKind;
-use sparsimatch_core::edcs::{approx_mcm_via_edcs_with_scratch_metered, EdcsParams};
+use sparsimatch_core::backend::{Backend, BackendKind};
+use sparsimatch_core::edcs::EdcsParams;
 use sparsimatch_core::params::SparsifierParams;
-use sparsimatch_core::pipeline::approx_mcm_via_sparsifier_with_scratch_metered;
 use sparsimatch_core::scratch::PipelineScratch;
 use sparsimatch_dynamic::adversary::Update;
 use sparsimatch_dynamic::scheme::DynamicMatcher;
@@ -272,39 +271,29 @@ impl SessionEngine {
                 ))
             }
         };
-        let backend = backend.unwrap_or(self.default_backend);
         let warm = self.solves > 0;
-        let result = match backend {
-            BackendKind::Delta => {
-                let params = SparsifierParams::practical(beta, eps);
-                approx_mcm_via_sparsifier_with_scratch_metered(
-                    g,
-                    &params,
-                    seed,
-                    self.threads,
-                    &mut self.meter,
-                    &mut self.scratch,
-                )
-            }
-            // EDCS construction is deterministic; `seed` is ignored by
-            // design (the CLI documents the same contract).
-            BackendKind::Edcs => approx_mcm_via_edcs_with_scratch_metered(
+        // EDCS construction is deterministic; `seed` is ignored by design
+        // (the CLI documents the same contract).
+        let backend = match backend.unwrap_or(self.default_backend) {
+            BackendKind::Delta => Backend::Delta(SparsifierParams::practical(beta, eps)),
+            BackendKind::Edcs => Backend::Edcs { params: *edcs, eps },
+        };
+        let result = backend
+            .solve(
                 g,
-                edcs,
-                eps,
+                seed,
                 self.threads,
-                &mut self.meter,
+                Some(&mut self.meter),
                 &mut self.scratch,
-            ),
-        }
-        .map_err(|e| WireError::new(ErrorCode::Internal, e.to_string()))?;
+            )
+            .map_err(|e| WireError::new(ErrorCode::Internal, e.to_string()))?;
         self.solves += 1;
         self.last_pairs.clear();
         self.last_pairs
             .extend(result.matching.pairs().map(|(u, v)| (u.0, v.0)));
         self.last_solve_size = Some(result.matching.len() as u64);
         let mut body = Json::object();
-        body.set("backend", backend.as_str());
+        body.set("backend", backend.kind().as_str());
         body.set("matching_size", result.matching.len());
         body.set("sparsifier_edges", result.sparsifier.edges);
         body.set("probes", result.probes.total());
@@ -514,8 +503,10 @@ mod tests {
         // And both equal the one-shot library pipeline for the same seed.
         let g = sparsimatch_graph::generators::clique(40);
         let params = SparsifierParams::practical(1, 0.5);
-        let one_shot =
-            sparsimatch_core::pipeline::approx_mcm_via_sparsifier(&g, &params, 7, 1).unwrap();
+        let mut scratch = PipelineScratch::new();
+        let one_shot = Backend::Delta(params)
+            .solve(&g, 7, 1, None, &mut scratch)
+            .unwrap();
         let expected: Vec<Json> = one_shot
             .matching
             .pairs()
@@ -546,7 +537,10 @@ mod tests {
         // And matches the library entry point.
         let g = sparsimatch_graph::generators::clique(40);
         let params = EdcsParams::new(8, EdcsParams::default_lambda(8)).unwrap();
-        let lib = sparsimatch_core::edcs::approx_mcm_via_edcs(&g, &params, 0.3, 1).unwrap();
+        let mut scratch = PipelineScratch::new();
+        let lib = Backend::Edcs { params, eps: 0.3 }
+            .solve(&g, 0, 1, None, &mut scratch)
+            .unwrap();
         assert_eq!(
             cold.get("matching_size").unwrap().as_u64(),
             Some(lib.matching.len() as u64)

@@ -32,7 +32,10 @@ fn main() {
     );
 
     let params = SparsifierParams::practical(2, 0.4);
-    let result = approx_mcm_via_sparsifier(&talks, &params, 7, 2).unwrap();
+    let result = Backend::Delta(params)
+        .solve(&talks, 7, 2, None, &mut PipelineScratch::new())
+        .unwrap()
+        .clone();
     println!(
         "paired {} talk blocks, probing {} adjacency entries ({}% of the compatibility graph)",
         result.matching.len(),

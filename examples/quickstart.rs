@@ -40,7 +40,10 @@ fn main() {
     // probes, then run the (1+ε) matching algorithm on it. All three
     // stages run on the requested worker count; the output depends only
     // on the seed.
-    let result = approx_mcm_via_sparsifier(&g, &params, 42, 4).unwrap();
+    let result = Backend::Delta(params)
+        .solve(&g, 42, 4, None, &mut PipelineScratch::new())
+        .unwrap()
+        .clone();
     println!(
         "sparsifier edges: {} ({}% of m), probes: {} ({}% of m)",
         result.sparsifier.edges,

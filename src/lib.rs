@@ -12,7 +12,7 @@
 //! construction is purely local, it yields:
 //!
 //! * a **sequential** `(1+ε)`-approximate maximum matching in time *sublinear
-//!   in the number of edges* ([`core::pipeline`]),
+//!   in the number of edges* ([`core::backend`]),
 //! * a **distributed** `(1+ε)`-approximate matching in
 //!   `(β/ε)^O(1/ε) + O(1/ε²)·log* n` rounds with sublinear message complexity
 //!   ([`distsim`]),
@@ -36,7 +36,10 @@
 //! // Build the sparsifier and a (1+eps)-approximate matching on it.
 //! // Seed 1, four worker threads — the result depends only on the seed.
 //! let params = SparsifierParams::practical(2, 0.2);
-//! let result = approx_mcm_via_sparsifier(&g, &params, 1, 4).unwrap();
+//! let result = Backend::Delta(params)
+//!     .solve(&g, 1, 4, None, &mut PipelineScratch::new())
+//!     .unwrap()
+//!     .clone();
 //!
 //! let exact = maximum_matching(&g).len();
 //! assert!(result.matching.len() as f64 >= exact as f64 / 1.2);
@@ -51,8 +54,10 @@ pub use sparsimatch_stream as stream;
 
 /// One-stop imports for applications.
 pub mod prelude {
+    pub use sparsimatch_core::backend::Backend;
     pub use sparsimatch_core::params::SparsifierParams;
-    pub use sparsimatch_core::pipeline::{approx_mcm_via_sparsifier, PipelineResult};
+    pub use sparsimatch_core::pipeline::PipelineResult;
+    pub use sparsimatch_core::scratch::PipelineScratch;
     pub use sparsimatch_core::sparsifier::{build_sparsifier, Sparsifier};
     pub use sparsimatch_graph::generators::{
         bipartite_gnp, clique, clique_minus_edge, clique_union, complete_bipartite, cycle, gnp,

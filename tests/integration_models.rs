@@ -29,7 +29,10 @@ fn all_three_models_meet_the_guarantee_on_one_input() {
     let bound = 1.0 + eps;
 
     // Sequential.
-    let seq = approx_mcm_via_sparsifier(&g, &params, 11, 2).unwrap();
+    let seq = Backend::Delta(params)
+        .solve(&g, 11, 2, None, &mut PipelineScratch::new())
+        .unwrap()
+        .clone();
     assert!(exact as f64 <= bound * seq.matching.len() as f64);
 
     // Streaming (random arrival order).

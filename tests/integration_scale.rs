@@ -23,7 +23,10 @@ fn sequential_pipeline_at_million_edges() {
     );
     assert!(g.num_edges() > 900_000, "m = {}", g.num_edges());
     let params = SparsifierParams::practical(2, 0.3);
-    let r = approx_mcm_via_sparsifier(&g, &params, 0x51, 4).unwrap();
+    let r = Backend::Delta(params)
+        .solve(&g, 0x51, 4, None, &mut PipelineScratch::new())
+        .unwrap()
+        .clone();
     assert!(r.matching.is_valid_for(&g));
     // The perfect matching is n/2 here; the pipeline must land within eps.
     assert!(r.matching.len() as f64 * 1.3 >= (n / 2) as f64);

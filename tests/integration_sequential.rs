@@ -44,7 +44,10 @@ fn pipeline_meets_guarantee_on_all_families() {
         let eps = 0.3;
         let params = SparsifierParams::practical(beta, eps);
         let exact = maximum_matching(&g).len();
-        let r = approx_mcm_via_sparsifier(&g, &params, 0xA, 2).unwrap();
+        let r = Backend::Delta(params)
+            .solve(&g, 0xA, 2, None, &mut PipelineScratch::new())
+            .unwrap()
+            .clone();
         assert!(r.matching.is_valid_for(&g), "{name}: invalid matching");
         assert!(
             exact as f64 <= (1.0 + eps) * r.matching.len().max(1) as f64,
@@ -90,7 +93,10 @@ fn sparsifier_matching_is_matching_of_original() {
 fn probes_beat_edge_count_on_dense_input() {
     let g = clique(900); // m ≈ 404k
     let params = SparsifierParams::practical(1, 0.4);
-    let r = approx_mcm_via_sparsifier(&g, &params, 0xD, 4).unwrap();
+    let r = Backend::Delta(params)
+        .solve(&g, 0xD, 4, None, &mut PipelineScratch::new())
+        .unwrap()
+        .clone();
     assert!(
         r.probes.total() < g.num_edges() as u64 / 2,
         "probes {} vs m {}",
@@ -112,7 +118,10 @@ fn facade_prelude_is_sufficient_for_the_readme_flow() {
         &mut rng,
     );
     let params = SparsifierParams::practical(2, 0.2);
-    let result = approx_mcm_via_sparsifier(&g, &params, 1, 4).unwrap();
+    let result = Backend::Delta(params)
+        .solve(&g, 1, 4, None, &mut PipelineScratch::new())
+        .unwrap()
+        .clone();
     let exact = maximum_matching(&g).len();
     assert!(result.matching.len() as f64 >= exact as f64 / 1.2);
 }
