@@ -1,20 +1,21 @@
 //! Distsim scaling: the sharded execution engine at millions of
-//! simulated nodes (ISSUE 10 tentpole experiment).
+//! simulated nodes.
 //!
 //! Runs the randomized distributed pipeline (sparsify → solomon →
 //! Israeli–Itai) on the clique-union and power-law families at a fixed
-//! node count, once per thread count in [1, 2, 4, 8]. `threads = 1` is
-//! the historical sequential simulator; every other row runs the
-//! `ShardedNetwork` engine. Two properties are recorded:
+//! node count, once per thread count in [1, 2, 4, 8]. Every row runs the
+//! one `ShardedNetwork` engine; `threads = 1` runs its single shard
+//! inline on the calling thread and is the baseline row. Two properties
+//! are recorded:
 //!
 //! 1. **Byte identity** (a hard bound): at every thread count the
 //!    matching pairs, rounds, messages, and bits must equal the
-//!    sequential run exactly — the fingerprint column must be `true`
-//!    on every row or the run fails.
+//!    one-shard run exactly — the fingerprint column must be `true` on
+//!    every row or the run fails.
 //! 2. **Wall time** (measured honestly, not gated): per-row wall-clock
-//!    and speedup vs the sequential row, alongside the host's actual
-//!    `available_parallelism`. On a single-core host the sharded rows
-//!    are expected to show speedup ≤ 1 — the experiment pins the
+//!    and speedup vs the one-shard row, alongside the host's actual
+//!    `available_parallelism`. On a single-core host the multi-shard
+//!    rows are expected to show speedup ≤ 1 — the experiment pins the
 //!    determinism contract; the parallel win needs real cores.
 //!
 //! Writes `results/distsim_scale.json` (schema in EXPERIMENTS.md);
@@ -25,8 +26,9 @@ use sparsimatch_bench::table::{f3, Table};
 use sparsimatch_bench::{results_dir, scale_from_args, Scale, Violations};
 use sparsimatch_core::params::SparsifierParams;
 use sparsimatch_distsim::algorithms::pipeline::{
-    distributed_randomized_maximal_sharded, DistributedOutcome,
+    distributed_matching, DistAlgo, DistributedOutcome,
 };
+use sparsimatch_distsim::{FaultPlan, ResilienceParams};
 use sparsimatch_graph::csr::CsrGraph;
 use sparsimatch_graph::generators::{clique_union, power_law, CliqueUnionConfig};
 use sparsimatch_obs::Json;
@@ -83,16 +85,24 @@ fn run_family(
     table: &mut Table,
 ) -> Vec<Row> {
     let mut rows = Vec::new();
-    let mut base: Option<(u64, f64)> = None; // sequential (fingerprint, wall_ms)
+    let mut base: Option<(u64, f64)> = None; // one-shard (fingerprint, wall_ms)
     for threads in THREAD_COUNTS {
         let t0 = Instant::now();
-        let out = distributed_randomized_maximal_sharded(g, params, ALGO_SEED, None, threads);
+        let out = distributed_matching(
+            g,
+            params,
+            ALGO_SEED,
+            DistAlgo::Randomized,
+            &FaultPlan::none(),
+            ResilienceParams::off(),
+            threads,
+        );
         let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
         let fp = fingerprint(&out);
         let (base_fp, base_ms) = *base.get_or_insert((fp, wall_ms));
         let fingerprint_match = fp == base_fp;
         violations.check(fingerprint_match, || {
-            format!("{family}: t={threads} fingerprint diverged from the sequential run")
+            format!("{family}: t={threads} fingerprint diverged from the one-shard run")
         });
         let row = Row {
             family,
@@ -151,7 +161,7 @@ fn main() {
     // ball gathers, which do not pay at millions of nodes.
     let params = SparsifierParams::with_delta(2, 0.5, 4);
 
-    println!("distsim scale: sharded engine vs sequential simulator");
+    println!("distsim scale: sharded engine, t > 1 vs one shard");
     println!(
         "n = {n}, thread counts {THREAD_COUNTS:?}, host parallelism = {host_parallelism}, \
          algorithm = randomized maximal (sparsify -> solomon -> israeli-itai)\n"

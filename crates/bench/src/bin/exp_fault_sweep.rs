@@ -34,7 +34,7 @@ use sparsimatch_core::backend::Backend;
 use sparsimatch_core::params::SparsifierParams;
 use sparsimatch_core::stream_build::RetryPolicy;
 use sparsimatch_distsim::algorithms::pipeline::{
-    distributed_maximal_baseline, distributed_maximal_baseline_faulty, DistributedOutcome,
+    distributed_matching, DistAlgo, DistributedOutcome,
 };
 use sparsimatch_distsim::{FaultPlan, FaultRates, ResilienceParams};
 use sparsimatch_graph::edge_stream::{FaultyEdgeSource, IoFaultPlan, IoFaultRates};
@@ -85,7 +85,19 @@ fn main() {
         &mut rng,
     );
     let params = SparsifierParams::with_delta(2, 0.5, 8);
-    let baseline = distributed_maximal_baseline(&g, &params, ALGO_SEED);
+    // The maximal-matching pipeline on one round worker.
+    let maximal = |plan: &FaultPlan, resilience| {
+        distributed_matching(
+            &g,
+            &params,
+            ALGO_SEED,
+            DistAlgo::Maximal,
+            plan,
+            resilience,
+            1,
+        )
+    };
+    let baseline = maximal(&FaultPlan::none(), ResilienceParams::off());
 
     let mut violations = Violations::new();
     let mut table = Table::new(&[
@@ -118,23 +130,11 @@ fn main() {
         let mut hardened_retries = Vec::new();
         for fault_seed in 0..seeds_per_rate {
             let plan = FaultPlan::new(fault_seed, rates).with_horizon(HORIZON);
-            let out = distributed_maximal_baseline_faulty(
-                &g,
-                &params,
-                ALGO_SEED,
-                &plan,
-                ResilienceParams::off(),
-            );
+            let out = maximal(&plan, ResilienceParams::off());
             if drop == 0.0 {
                 check_zero_fault_row(&mut violations, &baseline, &out, fault_seed);
             }
-            let hard = distributed_maximal_baseline_faulty(
-                &g,
-                &params,
-                ALGO_SEED,
-                &plan,
-                ResilienceParams::retry(RETRIES),
-            );
+            let hard = maximal(&plan, ResilienceParams::retry(RETRIES));
             sizes.push(out.matching.len() as u64);
             dropped.push(out.faults.dropped);
             rounds.push(out.metrics.rounds);

@@ -12,9 +12,8 @@ use sparsimatch_bench::table::{f3, Table};
 use sparsimatch_bench::{scale_from_args, Scale, Violations};
 use sparsimatch_core::params::SparsifierParams;
 use sparsimatch_distsim::algorithms::coloring::log_star;
-use sparsimatch_distsim::algorithms::pipeline::{
-    distributed_approx_mcm, distributed_maximal_baseline,
-};
+use sparsimatch_distsim::algorithms::pipeline::{distributed_matching, DistAlgo};
+use sparsimatch_distsim::{FaultPlan, ResilienceParams, ShardedNetwork};
 use sparsimatch_graph::generators::{unit_disk, UnitDiskConfig};
 use sparsimatch_matching::blossom::maximum_matching;
 
@@ -47,7 +46,11 @@ fn main() {
         let exact = maximum_matching(&g).len().max(1);
         let params = SparsifierParams::with_delta(beta, eps, 8);
 
-        let full = distributed_approx_mcm(&g, &params, 0xE8 + n as u64);
+        let run = |algo| {
+            let (plan, off) = (FaultPlan::none(), ResilienceParams::off());
+            distributed_matching(&g, &params, 0xE8 + n as u64, algo, &plan, off, 1)
+        };
+        let full = run(DistAlgo::Approx);
         let ratio = exact as f64 / full.matching.len().max(1) as f64;
         violations.check(ratio <= 1.0 + 3.0 * eps, || {
             format!("n={n}: distributed ratio {ratio:.3} above 1+3eps")
@@ -67,7 +70,7 @@ fn main() {
             f3(ratio),
         ]);
 
-        let base = distributed_maximal_baseline(&g, &params, 0xE8 + n as u64);
+        let base = run(DistAlgo::Maximal);
         table.row(vec![
             n.to_string(),
             log_star(n).to_string(),
@@ -85,7 +88,7 @@ fn main() {
         // Randomized Israeli–Itai maximal matching on the raw graph:
         // O(log n) rounds, no sparsifier, 2-approximate — the classical
         // comparison point for both round count and quality.
-        let mut net = sparsimatch_distsim::Network::new(&g);
+        let mut net = ShardedNetwork::new(&g, 1);
         let (ii, _) = sparsimatch_distsim::algorithms::israeli_itai::israeli_itai_matching(
             &mut net,
             0xE8 + n as u64,

@@ -11,7 +11,8 @@ use rand::{rngs::StdRng, SeedableRng};
 use sparsimatch_bench::table::{f3, Table};
 use sparsimatch_bench::{scale_from_args, Scale, Violations};
 use sparsimatch_core::params::SparsifierParams;
-use sparsimatch_distsim::algorithms::pipeline::distributed_approx_mcm;
+use sparsimatch_distsim::algorithms::pipeline::{distributed_matching, DistAlgo};
+use sparsimatch_distsim::{FaultPlan, ResilienceParams};
 use sparsimatch_graph::generators::{clique_union, CliqueUnionConfig};
 
 fn main() {
@@ -48,7 +49,15 @@ fn main() {
         );
         let m = g.num_edges() as u64;
         let params = SparsifierParams::with_delta(beta, eps, 6);
-        let out = distributed_approx_mcm(&g, &params, 0xE9 + n as u64);
+        let out = distributed_matching(
+            &g,
+            &params,
+            0xE9 + n as u64,
+            DistAlgo::Approx,
+            &FaultPlan::none(),
+            ResilienceParams::off(),
+            1,
+        );
         let naive = 2 * m * out.metrics.rounds;
         violations.check(out.metrics.messages < naive, || {
             format!(

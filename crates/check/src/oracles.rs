@@ -13,9 +13,10 @@
 //!   plus validity of the served matching at every audit and the
 //!   per-update work cap.
 //! * **distsim** — the Theorem 3.2/3.3 distributed pipeline vs the
-//!   sequential pipeline on the same seed, zero-fault transparency of the
-//!   faulty network (byte-identical outcome), and validity under a seeded
-//!   fault plan.
+//!   sequential pipeline on the same seed, byte-identity of the sharded
+//!   engine at t ∈ {1, 2, 4} with a sequential [`FaultyNetwork`]
+//!   reference (perfect and under a seeded fault plan), and validity
+//!   under that plan.
 //! * **scratch** — the warm-scratch pipeline ([`Backend::solve`]
 //!   through the sweep's shared arena) vs a fresh-arena cold run,
 //!   byte-for-byte across matching pairs, sparsifier stats,
@@ -54,14 +55,20 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sparsimatch_core::backend::{Backend, BackendKind};
 use sparsimatch_core::edcs::{build_edcs, build_edcs_streamed, edcs_violation, EdcsParams};
+use sparsimatch_core::params::SparsifierParams;
 use sparsimatch_core::scratch::PipelineScratch;
+use sparsimatch_core::solomon::degree_cap_for;
 use sparsimatch_core::sparsifier::build_sparsifier;
 use sparsimatch_core::stream_build::{RetryPolicy, StreamBuildError};
+use sparsimatch_distsim::algorithms::matching::bounded_degree_matching;
 use sparsimatch_distsim::algorithms::pipeline::{
-    distributed_approx_mcm, distributed_approx_mcm_faulty, distributed_approx_mcm_sharded,
-    DistributedOutcome,
+    distributed_matching, DistAlgo, DistributedOutcome,
 };
-use sparsimatch_distsim::{FaultPlan, FaultRates, ResilienceParams};
+use sparsimatch_distsim::algorithms::solomon::distributed_solomon;
+use sparsimatch_distsim::algorithms::sparsify::distributed_sparsifier;
+use sparsimatch_distsim::{
+    FaultPlan, FaultRates, FaultStats, FaultyNetwork, Metrics, ResilienceParams,
+};
 use sparsimatch_dynamic::adversary::Update;
 use sparsimatch_dynamic::scheme::DynamicMatcher;
 use sparsimatch_graph::adjlist::AdjListGraph;
@@ -379,6 +386,43 @@ fn stress_plan(inst: &CheckInstance) -> FaultPlan {
     .with_crash_period(4)
 }
 
+/// The distsim oracle's sequential reference: the Theorem 3.2 pipeline
+/// (sparsify → Solomon → bounded-degree matching), each phase on a fresh
+/// [`FaultyNetwork`] — the single-loop transport no production path
+/// builds — so the sharded engine is judged against independent code.
+fn reference_pipeline(
+    g: &CsrGraph,
+    params: &SparsifierParams,
+    seed: u64,
+    plan: &FaultPlan,
+    resilience: ResilienceParams,
+) -> DistributedOutcome {
+    let mut metrics = Metrics::new();
+    let mut faults = FaultStats::default();
+    let mut absorb = |net: &FaultyNetwork<'_>| {
+        metrics.absorb(net.metrics());
+        faults.absorb(net.fault_stats());
+        net.metrics().rounds
+    };
+    let mut net = FaultyNetwork::with_resilience(g, plan.clone(), resilience);
+    let g_delta = distributed_sparsifier(&mut net, params, seed);
+    let sparsify_rounds = absorb(&net);
+    let mut net = FaultyNetwork::with_resilience(&g_delta, plan.clone(), resilience);
+    let cap = degree_cap_for(params.arboricity_bound(), params.eps);
+    let composed = distributed_solomon(&mut net, cap);
+    let solomon_rounds = absorb(&net);
+    let mut net = FaultyNetwork::with_resilience(&composed, plan.clone(), resilience);
+    let (matching, _) = bounded_degree_matching(&mut net, params.eps);
+    let matching_rounds = absorb(&net);
+    DistributedOutcome {
+        matching,
+        metrics,
+        phase_rounds: (sparsify_rounds, solomon_rounds, matching_rounds),
+        composed_max_degree: composed.max_degree(),
+        faults,
+    }
+}
+
 /// Everything a distsim run must keep bit-identical across replays:
 /// matching pairs, round/message/bit totals, and per-phase round counts.
 type OutcomeFingerprint = (Vec<(u32, u32)>, u64, u64, u64, (u64, u64, u64));
@@ -423,46 +467,18 @@ fn check_distsim(
         }
     };
 
-    let perfect = distributed_approx_mcm(&g, &params, inst.algo_seed);
+    // The sequential reference, perfect and under the stress plan.
+    let (none, off) = (FaultPlan::none(), ResilienceParams::off());
+    let (stress, retry) = (stress_plan(inst), ResilienceParams::retry(1));
+    let perfect = reference_pipeline(&g, &params, inst.algo_seed, &none, off);
     if !perfect.matching.is_valid_for(&g) {
         return Some(Violation::new(
             "distsim-validity",
             "perfect-network distributed matching invalid for the input".to_string(),
         ));
     }
-
-    // Zero-fault transparency: a FaultyNetwork with the empty plan must be
-    // indistinguishable from the perfect network, metrics included.
-    let zero = distributed_approx_mcm_faulty(
-        &g,
-        &params,
-        inst.algo_seed,
-        &FaultPlan::none(),
-        ResilienceParams::off(),
-    );
-    if outcome_fingerprint(&zero) != outcome_fingerprint(&perfect)
-        || zero.faults != Default::default()
-    {
-        return Some(Violation::new(
-            "zero-fault-transparency",
-            format!(
-                "zero-fault run diverged from the perfect network: {} vs {} matched, {}/{} rounds",
-                zero.matching.len(),
-                perfect.matching.len(),
-                zero.metrics.rounds,
-                perfect.metrics.rounds
-            ),
-        ));
-    }
-
     // A genuinely faulty network may lose matching size but never validity.
-    let faulty = distributed_approx_mcm_faulty(
-        &g,
-        &params,
-        inst.algo_seed,
-        &stress_plan(inst),
-        ResilienceParams::retry(1),
-    );
+    let faulty = reference_pipeline(&g, &params, inst.algo_seed, &stress, retry);
     if !faulty.matching.is_valid_for(&g) {
         return Some(Violation::new(
             "faulty-validity",
@@ -470,39 +486,46 @@ fn check_distsim(
         ));
     }
 
-    // Sharded engine: at every worker count the sharded run must be
-    // byte-identical to the sequential transport — perfect and faulty
-    // (stress plan + retry) alike, fault counters included.
-    let plan = stress_plan(inst);
-    for threads in [2usize, 4] {
-        let sharded = distributed_approx_mcm_sharded(&g, &params, inst.algo_seed, None, threads);
-        if outcome_fingerprint(&sharded) != outcome_fingerprint(&perfect) {
+    // The pipeline's one engine: at every worker count the run must be
+    // byte-identical to the sequential reference — perfect (with zero
+    // fault counters) and faulty (stress plan + retry) alike.
+    for threads in [1usize, 2, 4] {
+        let run = |plan: &FaultPlan, resilience: ResilienceParams| {
+            distributed_matching(
+                &g,
+                &params,
+                inst.algo_seed,
+                DistAlgo::Approx,
+                plan,
+                resilience,
+                threads,
+            )
+        };
+        let sharded = run(&none, off);
+        if outcome_fingerprint(&sharded) != outcome_fingerprint(&perfect)
+            || sharded.faults != FaultStats::default()
+        {
             return Some(Violation::new(
                 "sharded-identity",
                 format!(
-                    "t={threads} sharded run diverged from the perfect network: \
-                     {} vs {} matched, {}/{} rounds",
+                    "t={threads} perfect run diverged from the sequential reference: \
+                     {} vs {} matched, {}/{} rounds, faults {}",
                     sharded.matching.len(),
                     perfect.matching.len(),
                     sharded.metrics.rounds,
-                    perfect.metrics.rounds
+                    perfect.metrics.rounds,
+                    sharded.faults
                 ),
             ));
         }
-        let sharded_faulty = distributed_approx_mcm_sharded(
-            &g,
-            &params,
-            inst.algo_seed,
-            Some((&plan, ResilienceParams::retry(1))),
-            threads,
-        );
+        let sharded_faulty = run(&stress, retry);
         if outcome_fingerprint(&sharded_faulty) != outcome_fingerprint(&faulty)
             || sharded_faulty.faults != faulty.faults
         {
             return Some(Violation::new(
                 "sharded-faulty-identity",
                 format!(
-                    "t={threads} sharded faulty run diverged from FaultyNetwork: \
+                    "t={threads} faulty run diverged from the sequential reference: \
                      {} vs {} matched, {}/{} rounds, faults {} vs {}",
                     sharded_faulty.matching.len(),
                     faulty.matching.len(),

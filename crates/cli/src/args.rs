@@ -2,6 +2,7 @@
 //! subcommands).
 
 use sparsimatch_core::backend::BackendKind;
+use sparsimatch_distsim::algorithms::pipeline::DistAlgo;
 use std::path::PathBuf;
 
 /// Top-level usage text.
@@ -55,11 +56,10 @@ two backends.
 
 distsim runs the synchronous message-passing pipeline on one machine
 and reports rounds/messages/bits. --threads <T> (1..=64, default 1)
-selects the execution engine: 1 runs the historical sequential
-simulator, 2 and above runs the sharded engine (contiguous vertex
-shards, one round worker each, deterministic batched message router);
-the matching, round/message/bit counts, and fault counters are
-byte-identical at every thread count. The --drop/--duplicate/--reorder/
+sets the number of round workers of the one sharded engine (contiguous
+vertex shards, deterministic batched message router; 1 runs the same
+engine inline); the matching, round/message/bit counts, and fault
+counters are byte-identical at every thread count. The --drop/--duplicate/--reorder/
 --crash probabilities (each in [0, 1], default 0) inject seeded,
 reproducible transport faults; --retries <K> arms a per-message
 ack/retry layer that re-sends up to K times. Fault counters
@@ -176,24 +176,13 @@ pub struct MatchArgs {
     pub metrics_json: Option<PathBuf>,
 }
 
-/// Which distributed pipeline variant `distsim` runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DistAlgo {
-    /// Sparsify → color → match → augment (the paper's pipeline).
-    Approx,
-    /// Sparsify → deterministic color-scheduled maximal matching.
-    Baseline,
-    /// Sparsify → randomized (Israeli–Itai) maximal matching.
-    Randomized,
-}
-
 /// The `distsim` subcommand: run a distributed pipeline on the
 /// simulator, optionally under seeded fault injection.
 #[derive(Clone, Debug, PartialEq)]
 pub struct DistsimArgs {
     /// Input graph.
     pub input: PathBuf,
-    /// Pipeline variant.
+    /// Pipeline variant (`--algo baseline` is [`DistAlgo::Maximal`]).
     pub algo: DistAlgo,
     /// β bound for the sparsifier phase.
     pub beta: usize,
@@ -219,8 +208,8 @@ pub struct DistsimArgs {
     pub fault_horizon: Option<u64>,
     /// Ack/retry resend budget (0 = resilience layer off).
     pub retries: u32,
-    /// Round-worker threads (1 = historical sequential simulator,
-    /// 2..=64 = sharded execution engine; byte-identical output).
+    /// Round-worker threads of the sharded engine (1..=64; 1 runs it
+    /// inline; byte-identical output at every count).
     pub threads: usize,
     /// Write work-counter + fault-counter metrics as JSON to this path.
     pub metrics_json: Option<PathBuf>,
@@ -495,7 +484,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             ])?;
             let algo = match flags.get("--algo")?.unwrap_or("approx") {
                 "approx" => DistAlgo::Approx,
-                "baseline" => DistAlgo::Baseline,
+                "baseline" => DistAlgo::Maximal,
                 "randomized" => DistAlgo::Randomized,
                 other => {
                     return Err(format!(
@@ -677,7 +666,7 @@ mod tests {
         .unwrap() else {
             panic!()
         };
-        assert_eq!(d.algo, DistAlgo::Baseline);
+        assert_eq!(d.algo, DistAlgo::Maximal);
         assert_eq!(d.beta, 3);
         assert_eq!(d.fault_seed, 9);
         assert!((d.drop - 0.25).abs() < 1e-12);
@@ -687,7 +676,7 @@ mod tests {
         assert_eq!(d.threads, 4);
 
         // Defaults: approx variant, zero-fault plan, resilience off,
-        // sequential engine.
+        // one round worker.
         let Command::Distsim(d) = parse(&args("distsim g.el")).unwrap() else {
             panic!()
         };

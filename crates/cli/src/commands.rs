@@ -2,7 +2,7 @@
 //! testability.
 
 use crate::args::{
-    AnalyzeArgs, CheckArgs, DistAlgo, DistsimArgs, GenerateArgs, MatchAlgo, MatchArgs, ServeArgs,
+    AnalyzeArgs, CheckArgs, DistsimArgs, GenerateArgs, MatchAlgo, MatchArgs, ServeArgs,
     SparsifyArgs,
 };
 use crate::error::CliError;
@@ -14,10 +14,7 @@ use sparsimatch_core::scratch::PipelineScratch;
 use sparsimatch_core::sparsifier::{
     build_sparsifier_parallel_metered, ThreadCountError, MAX_THREADS,
 };
-use sparsimatch_distsim::algorithms::pipeline::{
-    distributed_approx_mcm_sharded, distributed_maximal_baseline_sharded,
-    distributed_randomized_maximal_sharded, FaultCfg,
-};
+use sparsimatch_distsim::algorithms::pipeline::{distributed_matching, DistAlgo};
 use sparsimatch_distsim::{FaultPlan, FaultRates, ResilienceParams};
 use sparsimatch_graph::analysis::arboricity::{arboricity_bounds, degeneracy};
 use sparsimatch_graph::analysis::independence::neighborhood_independence_exact;
@@ -383,31 +380,20 @@ pub fn distsim(args: DistsimArgs, out: Out<'_>) -> Result<(), CliError> {
         ResilienceParams::off()
     };
     let params = SparsifierParams::practical(args.beta, args.eps);
-    type ShardedRun = fn(
-        &CsrGraph,
-        &SparsifierParams,
-        u64,
-        FaultCfg<'_>,
-        usize,
-    ) -> sparsimatch_distsim::algorithms::pipeline::DistributedOutcome;
-    let (label, run): (&str, ShardedRun) = match args.algo {
-        DistAlgo::Approx => ("distributed approx-mcm", distributed_approx_mcm_sharded),
-        DistAlgo::Baseline => (
-            "distributed maximal (color-scheduled)",
-            distributed_maximal_baseline_sharded,
-        ),
-        DistAlgo::Randomized => (
-            "distributed maximal (randomized)",
-            distributed_randomized_maximal_sharded,
-        ),
+    let label = match args.algo {
+        DistAlgo::Approx => "distributed approx-mcm",
+        DistAlgo::Maximal => "distributed maximal (color-scheduled)",
+        DistAlgo::Randomized => "distributed maximal (randomized)",
     };
     let mut meter = WorkMeter::new();
     let outcome = meter.time("distsim", |_| {
-        run(
+        distributed_matching(
             &g,
             &params,
             args.seed,
-            Some((&plan, resilience)),
+            args.algo,
+            &plan,
+            resilience,
             args.threads,
         )
     });

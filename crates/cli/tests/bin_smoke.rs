@@ -751,6 +751,135 @@ fn distsim_sharded_output_is_byte_identical() {
     std::fs::remove_file(&file).ok();
 }
 
+/// `distsim --threads 1 --pairs` stdout, pinned for every `--algo` on a
+/// perfect network and under an active fault plan with retries. The
+/// expected text was captured from the sequential simulator, before
+/// `--threads 1` ran the sharded engine inline, so it anchors t = 1 (and
+/// through the thread-invariance test, every t) to that reference.
+#[test]
+fn distsim_single_thread_stdout_is_pinned() {
+    const PERFECT_APPROX: &str = "\
+        algorithm: distributed approx-mcm\n\
+        matching size: 40\n\
+        rounds: 377  messages: 424411  bits: 3159259\n\
+        faults: 0 dropped, 0 duplicated, 0 retries, 0 crashed node-rounds\n\
+        0 70\n1 35\n2 74\n3 78\n4 66\n5 37\n6 36\n7 41\n\
+        8 33\n9 40\n10 34\n11 47\n12 53\n13 45\n14 38\n15 39\n\
+        16 76\n17 75\n18 58\n19 43\n20 59\n21 62\n22 44\n23 52\n\
+        24 51\n25 49\n26 65\n27 54\n28 61\n29 68\n30 55\n31 77\n\
+        32 63\n42 72\n46 67\n48 69\n50 79\n56 57\n60 71\n64 73\n";
+
+    const PERFECT_BASELINE: &str = "\
+        algorithm: distributed maximal (color-scheduled)\n\
+        matching size: 39\n\
+        rounds: 365  messages: 395923  bits: 1336027\n\
+        faults: 0 dropped, 0 duplicated, 0 retries, 0 crashed node-rounds\n\
+        0 2\n1 35\n3 78\n4 66\n5 37\n6 36\n7 41\n8 33\n\
+        9 40\n10 34\n11 47\n12 53\n13 45\n14 38\n15 39\n16 76\n\
+        17 75\n18 58\n19 43\n20 59\n21 62\n22 44\n23 52\n24 51\n\
+        25 49\n26 65\n27 54\n28 61\n29 68\n30 55\n31 77\n32 63\n\
+        42 72\n46 67\n48 69\n50 79\n56 57\n60 71\n64 73\n";
+
+    const PERFECT_RANDOMIZED: &str = "\
+        algorithm: distributed maximal (randomized)\n\
+        matching size: 39\n\
+        rounds: 12  messages: 13809  bits: 13809\n\
+        faults: 0 dropped, 0 duplicated, 0 retries, 0 crashed node-rounds\n\
+        0 24\n1 7\n2 8\n3 54\n4 49\n5 14\n6 69\n9 33\n\
+        10 30\n11 55\n12 47\n13 22\n15 40\n16 26\n17 27\n18 46\n\
+        19 23\n20 39\n21 73\n25 77\n28 35\n29 67\n31 66\n32 65\n\
+        34 44\n36 75\n37 45\n38 56\n41 70\n42 76\n43 60\n48 71\n\
+        50 62\n51 79\n52 57\n53 68\n58 63\n59 72\n61 64\n";
+
+    const FAULTY_APPROX: &str = "\
+        algorithm: distributed approx-mcm\n\
+        matching size: 39\n\
+        rounds: 762  messages: 781481  bits: 3393563\n\
+        faults: 12025 dropped, 2653 duplicated, 8632 retries, 88 crashed node-rounds\n\
+        0 2\n1 63\n3 78\n4 33\n5 37\n6 36\n7 41\n8 45\n\
+        9 50\n10 34\n11 54\n12 53\n13 46\n14 38\n15 72\n16 76\n\
+        17 52\n18 39\n19 47\n20 59\n21 62\n22 43\n23 44\n24 48\n\
+        25 49\n26 65\n27 56\n28 74\n29 68\n30 57\n31 66\n32 71\n\
+        35 73\n40 67\n42 75\n51 79\n55 70\n60 69\n61 64\n";
+
+    const FAULTY_BASELINE: &str = "\
+        algorithm: distributed maximal (color-scheduled)\n\
+        matching size: 38\n\
+        rounds: 750  messages: 754649  bits: 1676315\n\
+        faults: 12025 dropped, 2653 duplicated, 8632 retries, 88 crashed node-rounds\n\
+        0 2\n1 35\n3 78\n4 33\n5 37\n6 36\n7 41\n8 45\n\
+        9 50\n10 34\n11 54\n12 53\n13 46\n14 38\n15 72\n16 76\n\
+        17 52\n18 39\n19 47\n20 59\n21 62\n22 43\n23 44\n24 48\n\
+        25 49\n26 65\n27 56\n28 74\n29 68\n30 57\n31 66\n32 71\n\
+        40 67\n42 75\n51 79\n55 70\n60 69\n61 64\n";
+
+    const FAULTY_RANDOMIZED: &str = "\
+        algorithm: distributed maximal (randomized)\n\
+        matching size: 39\n\
+        rounds: 50  messages: 35138  bits: 35138\n\
+        faults: 5987 dropped, 1304 duplicated, 4208 retries, 88 crashed node-rounds\n\
+        0 33\n1 46\n3 74\n4 72\n5 11\n6 49\n7 50\n8 25\n\
+        9 15\n10 22\n12 53\n13 31\n14 17\n16 28\n18 76\n19 36\n\
+        20 44\n21 78\n23 34\n24 27\n26 61\n29 38\n30 40\n32 35\n\
+        37 57\n39 67\n41 65\n42 47\n43 64\n45 70\n48 73\n51 79\n\
+        52 56\n54 66\n55 75\n59 63\n60 69\n62 71\n68 77\n";
+
+    let dir = std::env::temp_dir().join(format!("sparsimatch-bin-t1-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("t1.el");
+    let out = bin()
+        .args([
+            "generate",
+            "clique-union:2:20",
+            "--n",
+            "80",
+            "--seed",
+            "4",
+            "--out",
+            file.to_str().unwrap(),
+        ])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{out:?}");
+
+    let faults = [
+        "--drop",
+        "0.2",
+        "--reorder",
+        "0.3",
+        "--crash",
+        "0.05",
+        "--fault-horizon",
+        "30",
+        "--retries",
+        "1",
+    ];
+    let cases: [(&str, &[&str], &str); 6] = [
+        ("approx", &[], PERFECT_APPROX),
+        ("baseline", &[], PERFECT_BASELINE),
+        ("randomized", &[], PERFECT_RANDOMIZED),
+        ("approx", &faults, FAULTY_APPROX),
+        ("baseline", &faults, FAULTY_BASELINE),
+        ("randomized", &faults, FAULTY_RANDOMIZED),
+    ];
+    for (algo, flags, expected) in cases {
+        let out = bin()
+            .args(["distsim", file.to_str().unwrap(), "--algo", algo])
+            .args(["--threads", "1", "--pairs"])
+            .args(flags)
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{algo} {flags:?}: {out:?}");
+        assert_eq!(
+            String::from_utf8(out.stdout).unwrap(),
+            expected,
+            "--algo {algo} {flags:?}"
+        );
+    }
+
+    std::fs::remove_file(&file).ok();
+}
+
 /// Drive `sparsimatch serve` over stdin/stdout with a scripted session
 /// covering every command plus a malformed and an over-deep request;
 /// the daemon answers typed errors for the bad lines and stays up.

@@ -215,7 +215,7 @@ pub fn canonical_target<'g>(net: &impl Net<'g>) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::network::Network;
+    use crate::ShardedNetwork;
     use sparsimatch_graph::generators::{cycle, gnp, path, star};
 
     #[test]
@@ -249,7 +249,7 @@ mod tests {
     #[test]
     fn colors_path() {
         let g = path(1000);
-        let mut net = Network::new(&g);
+        let mut net = ShardedNetwork::new(&g, 1);
         let c = linial_coloring(&mut net, 3);
         assert!(validate_coloring(&net, &c));
         assert_eq!(c.num_colors, 3);
@@ -258,7 +258,7 @@ mod tests {
     #[test]
     fn colors_cycle() {
         let g = cycle(997);
-        let mut net = Network::new(&g);
+        let mut net = ShardedNetwork::new(&g, 1);
         let c = linial_coloring(&mut net, 3);
         assert!(validate_coloring(&net, &c));
     }
@@ -266,7 +266,7 @@ mod tests {
     #[test]
     fn colors_star() {
         let g = star(200);
-        let mut net = Network::new(&g);
+        let mut net = ShardedNetwork::new(&g, 1);
         let target = canonical_target(&net);
         let c = linial_coloring(&mut net, target);
         assert!(validate_coloring(&net, &c));
@@ -278,7 +278,7 @@ mod tests {
         use rand::{rngs::StdRng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(5);
         let g = gnp(300, 0.02, &mut rng);
-        let mut net = Network::new(&g);
+        let mut net = ShardedNetwork::new(&g, 1);
         let target = canonical_target(&net);
         let c = linial_coloring(&mut net, target);
         assert!(validate_coloring(&net, &c));
@@ -292,7 +292,7 @@ mod tests {
         let mut rounds = Vec::new();
         for n in [100usize, 1_000, 10_000] {
             let g = cycle(n);
-            let mut net = Network::new(&g);
+            let mut net = ShardedNetwork::new(&g, 1);
             let _ = linial_coloring(&mut net, 3);
             rounds.push(net.metrics().rounds);
         }

@@ -94,14 +94,14 @@ pub fn israeli_itai_matching<'g>(net: &mut impl Net<'g>, seed: u64) -> (Matching
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::network::Network;
+    use crate::ShardedNetwork;
     use sparsimatch_graph::generators::{clique, cycle, gnp, path};
     use sparsimatch_matching::blossom::maximum_matching;
 
     #[test]
     fn maximal_on_paths_and_cycles() {
         for g in [path(41), cycle(40)] {
-            let mut net = Network::new(&g);
+            let mut net = ShardedNetwork::new(&g, 1);
             let (m, iters) = israeli_itai_matching(&mut net, 7);
             assert!(m.is_valid_for(&g));
             assert!(m.is_maximal_in(&g));
@@ -115,7 +115,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(8);
         for seed in 0..5 {
             let g = gnp(120, 0.05, &mut rng);
-            let mut net = Network::new(&g);
+            let mut net = ShardedNetwork::new(&g, 1);
             let (m, _) = israeli_itai_matching(&mut net, seed);
             assert!(m.is_maximal_in(&g));
             let exact = maximum_matching(&g).len();
@@ -128,7 +128,7 @@ mod tests {
         // On K_n a constant fraction of vertices matches per iteration:
         // iterations should be ~log n, far below n.
         let g = clique(256);
-        let mut net = Network::new(&g);
+        let mut net = ShardedNetwork::new(&g, 1);
         let (m, iters) = israeli_itai_matching(&mut net, 3);
         assert_eq!(m.len(), 128);
         assert!(iters <= 40, "iterations {iters} not logarithmic-ish");
@@ -137,7 +137,7 @@ mod tests {
     #[test]
     fn empty_graph_terminates_immediately() {
         let g = sparsimatch_graph::csr::from_edges(5, []);
-        let mut net = Network::new(&g);
+        let mut net = ShardedNetwork::new(&g, 1);
         let (m, iters) = israeli_itai_matching(&mut net, 1);
         assert_eq!(m.len(), 0);
         assert_eq!(iters, 0);

@@ -367,13 +367,13 @@ pub fn maximal_matching_only<'g>(net: &mut impl Net<'g>) -> Matching {
 mod tests {
     use super::*;
     use crate::algorithms::coloring::linial_coloring;
-    use crate::network::Network;
+    use crate::ShardedNetwork;
     use sparsimatch_graph::csr::CsrGraph;
     use sparsimatch_graph::generators::{cycle, gnp, path};
     use sparsimatch_matching::blossom::maximum_matching;
 
     fn mm_on(g: &CsrGraph) -> Matching {
-        let mut net = Network::new(g);
+        let mut net = ShardedNetwork::new(g, 1);
         let target = g.max_degree() as u64 + 1;
         let coloring = linial_coloring(&mut net, target.max(2));
         color_scheduled_mm(&mut net, &coloring)
@@ -404,7 +404,7 @@ mod tests {
         // On a path, MM can be a factor-2 off; augmentation with small eps
         // must close the gap entirely.
         let g = path(41);
-        let mut net = Network::new(&g);
+        let mut net = ShardedNetwork::new(&g, 1);
         let coloring = linial_coloring(&mut net, 3);
         let mut m = color_scheduled_mm(&mut net, &coloring);
         let stats = distributed_augmentation(&mut net, &mut m, 0.05);
@@ -418,7 +418,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(10);
         for _ in 0..5 {
             let g = gnp(120, 0.04, &mut rng);
-            let mut net = Network::new(&g);
+            let mut net = ShardedNetwork::new(&g, 1);
             let (m, _) = bounded_degree_matching(&mut net, 0.34);
             let exact = maximum_matching(&g).len();
             // eps = 0.34 => k = 3 => guarantee 3/4.
@@ -430,7 +430,7 @@ mod tests {
     #[test]
     fn augmentation_on_even_cycle() {
         let g = cycle(30);
-        let mut net = Network::new(&g);
+        let mut net = ShardedNetwork::new(&g, 1);
         let (m, _) = bounded_degree_matching(&mut net, 0.1);
         assert_eq!(m.len(), 15, "C30 has a perfect matching");
     }
@@ -468,7 +468,7 @@ mod tests {
         let mut rounds = Vec::new();
         for n in [64usize, 512, 4096] {
             let g = cycle(n);
-            let mut net = Network::new(&g);
+            let mut net = ShardedNetwork::new(&g, 1);
             let _ = bounded_degree_matching(&mut net, 0.5);
             rounds.push(net.metrics().rounds);
         }

@@ -8,17 +8,16 @@
 //! messages are physical rounds and messages, and the totals below are the
 //! Theorem 3.3 quantities.
 
+use crate::algorithms::israeli_itai::israeli_itai_matching;
 use crate::algorithms::matching::{bounded_degree_matching, maximal_matching_only};
 use crate::algorithms::solomon::distributed_solomon;
 use crate::algorithms::sparsify::distributed_sparsifier;
-use crate::faults::{FaultPlan, FaultStats, FaultyNetwork, ResilienceParams};
+use crate::faults::{FaultPlan, FaultStats, ResilienceParams};
 use crate::metrics::Metrics;
-use crate::network::{Incoming, Net, Network, Outgoing};
 use crate::shard::ShardedNetwork;
 use sparsimatch_core::params::SparsifierParams;
 use sparsimatch_core::solomon::degree_cap_for;
 use sparsimatch_graph::csr::CsrGraph;
-use sparsimatch_graph::ids::VertexId;
 use sparsimatch_matching::Matching;
 
 /// Outcome of the full distributed pipeline.
@@ -36,290 +35,73 @@ pub struct DistributedOutcome {
     pub faults: FaultStats,
 }
 
-/// Fault configuration threaded through a pipeline run: the plan is
-/// re-instantiated for each phase network (each phase restarts its round
-/// counter, so one plan describes each phase's disruption window).
-pub type FaultCfg<'a> = Option<(&'a FaultPlan, ResilienceParams)>;
-
-/// Per-phase transport: a perfect [`Network`], a [`FaultyNetwork`], or
-/// the sharded engine, chosen at runtime so `run_pipeline` stays
-/// monomorphic. One thread means the historical sequential transports;
-/// two or more means [`ShardedNetwork`] (which folds the fault plan in).
-enum PhaseNet<'g> {
-    Plain(Network<'g>),
-    Faulty(FaultyNetwork<'g>),
-    Sharded(ShardedNetwork<'g>),
+/// The matcher the pipeline's third phase runs on the composed
+/// sparsifier.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum DistAlgo {
+    /// Theorem 3.2/3.3: coloring, color-scheduled maximal matching, then
+    /// bounded-length augmentation — `(1+ε)`-approximate.
+    Approx,
+    /// The `(2+ε)`-style comparator (Barenboim–Oren shape): the same
+    /// coloring and maximal matching, no augmentation phase.
+    Maximal,
+    /// Israeli–Itai randomized maximal matching (O(log n) rounds, no
+    /// coloring): trades the deterministic `f(Δ) + log* n` round bound
+    /// for simplicity; 2-approximate modulo sparsification loss.
+    Randomized,
 }
 
-impl<'g> PhaseNet<'g> {
-    fn build(g: &'g CsrGraph, cfg: FaultCfg<'_>, threads: usize) -> Self {
-        match (threads, cfg) {
-            (2.., None) => PhaseNet::Sharded(ShardedNetwork::new(g, threads)),
-            (2.., Some((plan, res))) => {
-                PhaseNet::Sharded(ShardedNetwork::with_faults(g, threads, plan.clone(), res))
-            }
-            (_, None) => PhaseNet::Plain(Network::new(g)),
-            (_, Some((plan, res))) => {
-                PhaseNet::Faulty(FaultyNetwork::with_resilience(g, plan.clone(), res))
-            }
-        }
-    }
-
-    fn fault_stats(&self) -> FaultStats {
-        match self {
-            PhaseNet::Plain(_) => FaultStats::default(),
-            PhaseNet::Faulty(n) => n.fault_stats(),
-            PhaseNet::Sharded(n) => n.fault_stats(),
-        }
-    }
-}
-
-impl<'g> Net<'g> for PhaseNet<'g> {
-    fn graph(&self) -> &'g CsrGraph {
-        match self {
-            PhaseNet::Plain(n) => n.graph(),
-            PhaseNet::Faulty(n) => Net::graph(n),
-            PhaseNet::Sharded(n) => Net::graph(n),
-        }
-    }
-
-    fn metrics(&self) -> Metrics {
-        match self {
-            PhaseNet::Plain(n) => n.metrics(),
-            PhaseNet::Faulty(n) => Net::metrics(n),
-            PhaseNet::Sharded(n) => n.metrics(),
-        }
-    }
-
-    fn exchange<M: Clone + Send>(
-        &mut self,
-        outboxes: Vec<Vec<Outgoing<M>>>,
-    ) -> Vec<Vec<Incoming<M>>> {
-        match self {
-            PhaseNet::Plain(n) => n.exchange(outboxes),
-            PhaseNet::Faulty(n) => Net::exchange(n, outboxes),
-            PhaseNet::Sharded(n) => Net::exchange(n, outboxes),
-        }
-    }
-
-    fn charge_gather(&mut self, radius: usize, bits_per_message: u64) {
-        match self {
-            PhaseNet::Plain(n) => n.charge_gather(radius, bits_per_message),
-            PhaseNet::Faulty(n) => Net::charge_gather(n, radius, bits_per_message),
-            PhaseNet::Sharded(n) => Net::charge_gather(n, radius, bits_per_message),
-        }
-    }
-
-    fn record_clones(&mut self, count: u64) {
-        match self {
-            PhaseNet::Plain(n) => Net::record_clones(n, count),
-            PhaseNet::Faulty(n) => Net::record_clones(n, count),
-            PhaseNet::Sharded(n) => Net::record_clones(n, count),
-        }
-    }
-
-    fn ball(&self, v: VertexId, radius: usize) -> Vec<VertexId> {
-        match self {
-            PhaseNet::Plain(n) => n.ball(v, radius),
-            PhaseNet::Faulty(n) => Net::ball(n, v, radius),
-            PhaseNet::Sharded(n) => Net::ball(n, v, radius),
-        }
-    }
-
-    fn lossless(&self) -> bool {
-        match self {
-            PhaseNet::Plain(_) => true,
-            PhaseNet::Faulty(n) => Net::lossless(n),
-            PhaseNet::Sharded(n) => Net::lossless(n),
-        }
-    }
-}
-
-/// Theorem 3.2/3.3: distributed `(1+ε)`-approximate MCM on a graph of
-/// neighborhood independence `params.beta`.
-pub fn distributed_approx_mcm(
+/// The distributed pipeline on a graph of neighborhood independence
+/// `params.beta`: the one-round random sparsifier, Solomon's one-round
+/// bounded-degree sparsifier, then `algo` on the composed sparsifier.
+///
+/// Each phase runs on its own [`ShardedNetwork`] with `threads` round
+/// workers, instantiated from `plan` and `resilience`; each phase restarts
+/// its round counter, so one plan describes each phase's disruption
+/// window. A perfect network is [`FaultPlan::none`] with
+/// [`ResilienceParams::off`]. The outcome is byte-identical at every
+/// thread count. The returned matching is valid for `g` under *any* plan;
+/// its size degrades gracefully with the fault rates (experiment
+/// `exp_fault_sweep`).
+///
+/// # Panics
+/// Panics if `threads == 0`.
+pub fn distributed_matching(
     g: &CsrGraph,
     params: &SparsifierParams,
     seed: u64,
-) -> DistributedOutcome {
-    run_pipeline(g, params, seed, true, None, 1)
-}
-
-/// [`distributed_approx_mcm`] on the sharded engine: every phase runs on
-/// a [`ShardedNetwork`] with `threads` round workers (1 falls back to the
-/// historical sequential transports). Outcomes are byte-identical to the
-/// sequential run at every thread count, fault configuration included.
-pub fn distributed_approx_mcm_sharded(
-    g: &CsrGraph,
-    params: &SparsifierParams,
-    seed: u64,
-    cfg: FaultCfg<'_>,
-    threads: usize,
-) -> DistributedOutcome {
-    run_pipeline(g, params, seed, true, cfg, threads)
-}
-
-/// [`distributed_approx_mcm`] under fault injection: every phase runs on
-/// a [`FaultyNetwork`] instantiated from `plan` and `resilience`. The
-/// returned matching is valid for `g` under *any* plan; its size degrades
-/// gracefully with the fault rates (experiment `exp_fault_sweep`). With
-/// [`FaultPlan::none`] and [`ResilienceParams::off`] the outcome is
-/// identical to the perfect-network pipeline, fault counters included.
-pub fn distributed_approx_mcm_faulty(
-    g: &CsrGraph,
-    params: &SparsifierParams,
-    seed: u64,
+    algo: DistAlgo,
     plan: &FaultPlan,
     resilience: ResilienceParams,
-) -> DistributedOutcome {
-    run_pipeline(g, params, seed, true, Some((plan, resilience)), 1)
-}
-
-/// The `(2+ε)`-style comparator (Barenboim–Oren shape): identical
-/// sparsification and maximal matching, no augmentation phase.
-pub fn distributed_maximal_baseline(
-    g: &CsrGraph,
-    params: &SparsifierParams,
-    seed: u64,
-) -> DistributedOutcome {
-    run_pipeline(g, params, seed, false, None, 1)
-}
-
-/// [`distributed_maximal_baseline`] on the sharded engine (see
-/// [`distributed_approx_mcm_sharded`]).
-pub fn distributed_maximal_baseline_sharded(
-    g: &CsrGraph,
-    params: &SparsifierParams,
-    seed: u64,
-    cfg: FaultCfg<'_>,
-    threads: usize,
-) -> DistributedOutcome {
-    run_pipeline(g, params, seed, false, cfg, threads)
-}
-
-/// [`distributed_maximal_baseline`] under fault injection (see
-/// [`distributed_approx_mcm_faulty`] for the guarantees).
-pub fn distributed_maximal_baseline_faulty(
-    g: &CsrGraph,
-    params: &SparsifierParams,
-    seed: u64,
-    plan: &FaultPlan,
-    resilience: ResilienceParams,
-) -> DistributedOutcome {
-    run_pipeline(g, params, seed, false, Some((plan, resilience)), 1)
-}
-
-/// Randomized variant: sparsifiers as usual, then Israeli–Itai randomized
-/// maximal matching on the composed sparsifier (O(log n) rounds, no
-/// coloring) — trades the deterministic `f(Δ) + log* n` round bound for
-/// simplicity; 2-approximate modulo sparsification loss.
-pub fn distributed_randomized_maximal(
-    g: &CsrGraph,
-    params: &SparsifierParams,
-    seed: u64,
-) -> DistributedOutcome {
-    run_randomized(g, params, seed, None, 1)
-}
-
-/// [`distributed_randomized_maximal`] on the sharded engine (see
-/// [`distributed_approx_mcm_sharded`]).
-pub fn distributed_randomized_maximal_sharded(
-    g: &CsrGraph,
-    params: &SparsifierParams,
-    seed: u64,
-    cfg: FaultCfg<'_>,
-    threads: usize,
-) -> DistributedOutcome {
-    run_randomized(g, params, seed, cfg, threads)
-}
-
-/// [`distributed_randomized_maximal`] under fault injection (see
-/// [`distributed_approx_mcm_faulty`] for the guarantees).
-pub fn distributed_randomized_maximal_faulty(
-    g: &CsrGraph,
-    params: &SparsifierParams,
-    seed: u64,
-    plan: &FaultPlan,
-    resilience: ResilienceParams,
-) -> DistributedOutcome {
-    run_randomized(g, params, seed, Some((plan, resilience)), 1)
-}
-
-fn run_randomized(
-    g: &CsrGraph,
-    params: &SparsifierParams,
-    seed: u64,
-    cfg: FaultCfg<'_>,
     threads: usize,
 ) -> DistributedOutcome {
     let mut totals = Metrics::new();
     let mut faults = FaultStats::default();
-
-    let mut net1 = PhaseNet::build(g, cfg, threads);
-    let g_delta = distributed_sparsifier(&mut net1, params, seed);
-    let sparsify_rounds = net1.metrics().rounds;
-    totals.absorb(net1.metrics());
-    faults.absorb(net1.fault_stats());
-
-    let mut net2 = PhaseNet::build(&g_delta, cfg, threads);
-    let cap = degree_cap_for(params.arboricity_bound(), params.eps);
-    let composed = distributed_solomon(&mut net2, cap);
-    let solomon_rounds = net2.metrics().rounds;
-    totals.absorb(net2.metrics());
-    faults.absorb(net2.fault_stats());
-
-    let mut net3 = PhaseNet::build(&composed, cfg, threads);
-    let (matching, _) = crate::algorithms::israeli_itai::israeli_itai_matching(&mut net3, seed);
-    let matching_rounds = net3.metrics().rounds;
-    totals.absorb(net3.metrics());
-    faults.absorb(net3.fault_stats());
-
-    debug_assert!(matching.is_valid_for(g));
-    DistributedOutcome {
-        matching,
-        metrics: totals,
-        phase_rounds: (sparsify_rounds, solomon_rounds, matching_rounds),
-        composed_max_degree: composed.max_degree(),
-        faults,
-    }
-}
-
-fn run_pipeline(
-    g: &CsrGraph,
-    params: &SparsifierParams,
-    seed: u64,
-    augment: bool,
-    cfg: FaultCfg<'_>,
-    threads: usize,
-) -> DistributedOutcome {
-    let mut totals = Metrics::new();
-    let mut faults = FaultStats::default();
+    let mut absorb = |net: &ShardedNetwork<'_>| {
+        totals.absorb(net.metrics());
+        faults.absorb(net.fault_stats());
+        net.metrics().rounds
+    };
 
     // Phase 1: one-round random sparsifier on the physical network.
-    let mut net1 = PhaseNet::build(g, cfg, threads);
-    let g_delta = distributed_sparsifier(&mut net1, params, seed);
-    let sparsify_rounds = net1.metrics().rounds;
-    totals.absorb(net1.metrics());
-    faults.absorb(net1.fault_stats());
+    let mut net = ShardedNetwork::with_faults(g, threads, plan.clone(), resilience);
+    let g_delta = distributed_sparsifier(&mut net, params, seed);
+    let sparsify_rounds = absorb(&net);
 
     // Phase 2: one-round bounded-degree sparsifier on G_Δ.
-    let mut net2 = PhaseNet::build(&g_delta, cfg, threads);
+    let mut net = ShardedNetwork::with_faults(&g_delta, threads, plan.clone(), resilience);
     let cap = degree_cap_for(params.arboricity_bound(), params.eps);
-    let composed = distributed_solomon(&mut net2, cap);
-    let solomon_rounds = net2.metrics().rounds;
-    totals.absorb(net2.metrics());
-    faults.absorb(net2.fault_stats());
+    let composed = distributed_solomon(&mut net, cap);
+    let solomon_rounds = absorb(&net);
 
-    // Phase 3: bounded-degree matching on the composed sparsifier.
-    let mut net3 = PhaseNet::build(&composed, cfg, threads);
-    let matching = if augment {
-        bounded_degree_matching(&mut net3, params.eps).0
-    } else {
-        maximal_matching_only(&mut net3)
+    // Phase 3: the matcher on the composed sparsifier.
+    let mut net = ShardedNetwork::with_faults(&composed, threads, plan.clone(), resilience);
+    let matching = match algo {
+        DistAlgo::Approx => bounded_degree_matching(&mut net, params.eps).0,
+        DistAlgo::Maximal => maximal_matching_only(&mut net),
+        DistAlgo::Randomized => israeli_itai_matching(&mut net, seed).0,
     };
-    let matching_rounds = net3.metrics().rounds;
-    totals.absorb(net3.metrics());
-    faults.absorb(net3.fault_stats());
+    let matching_rounds = absorb(&net);
 
     debug_assert!(matching.is_valid_for(g), "composed sparsifier ⊆ G");
     DistributedOutcome {
@@ -340,6 +122,23 @@ mod tests {
     };
     use sparsimatch_matching::blossom::maximum_matching;
 
+    fn perfect(
+        g: &CsrGraph,
+        p: &SparsifierParams,
+        seed: u64,
+        algo: DistAlgo,
+    ) -> DistributedOutcome {
+        distributed_matching(
+            g,
+            p,
+            seed,
+            algo,
+            &FaultPlan::none(),
+            ResilienceParams::off(),
+            1,
+        )
+    }
+
     #[test]
     fn pipeline_accuracy_on_clique_union() {
         let mut rng = StdRng::seed_from_u64(1);
@@ -354,7 +153,7 @@ mod tests {
         // Small explicit delta keeps the composed degree low so the test
         // runs fast; accuracy is audited against exact.
         let p = SparsifierParams::with_delta(2, 0.5, 8);
-        let out = distributed_approx_mcm(&g, &p, 77);
+        let out = perfect(&g, &p, 77, DistAlgo::Approx);
         let exact = maximum_matching(&g).len();
         assert!(
             out.matching.len() as f64 * 1.6 >= exact as f64,
@@ -378,7 +177,7 @@ mod tests {
             &mut rng,
         );
         let p = SparsifierParams::with_delta(1, 0.5, 4);
-        let out = distributed_approx_mcm(&g, &p, 5);
+        let out = perfect(&g, &p, 5, DistAlgo::Approx);
         // Dense input: m ≈ 150·149 ≈ 22k edges; phase-1 messages = n·Δ.
         // The later phases run on the tiny sparsifier, so totals stay well
         // below m (the Theorem 3.3 story). Round-heavy phases dominate, so
@@ -403,7 +202,7 @@ mod tests {
             &mut rng,
         );
         let p = SparsifierParams::with_delta(2, 0.5, 6);
-        let out = distributed_randomized_maximal(&g, &p, 21);
+        let out = perfect(&g, &p, 21, DistAlgo::Randomized);
         assert!(out.matching.is_valid_for(&g));
         // Every message in this variant is 1 bit: far inside CONGEST.
         assert!(out.metrics.congest_compliant(g.num_vertices(), 1));
@@ -427,14 +226,14 @@ mod tests {
             &mut rng,
         );
         let p = SparsifierParams::with_delta(5, 0.5, 5);
-        let out = distributed_maximal_baseline(&g, &p, 4);
+        let out = perfect(&g, &p, 4, DistAlgo::Maximal);
         assert!(
             out.metrics.congest_compliant(g.num_vertices(), 8),
             "max message bits = {}",
             out.metrics.max_message_bits
         );
         // The augmented pipeline gathers balls: LOCAL-sized messages.
-        let full = distributed_approx_mcm(&g, &p, 4);
+        let full = perfect(&g, &p, 4, DistAlgo::Approx);
         assert!(full.metrics.max_message_bits >= out.metrics.max_message_bits);
     }
 
@@ -446,8 +245,8 @@ mod tests {
             &mut rng,
         );
         let p = SparsifierParams::with_delta(5, 0.5, 10);
-        let base = distributed_maximal_baseline(&g, &p, 9);
-        let full = distributed_approx_mcm(&g, &p, 9);
+        let base = perfect(&g, &p, 9, DistAlgo::Maximal);
+        let full = perfect(&g, &p, 9, DistAlgo::Approx);
         let exact = maximum_matching(&g).len();
         assert!(base.matching.is_valid_for(&g));
         // Maximal matching: at least half of optimum (of the sparsifier,

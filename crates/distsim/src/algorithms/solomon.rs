@@ -46,7 +46,7 @@ pub fn distributed_solomon<'g>(net: &mut impl Net<'g>, degree_cap: usize) -> Csr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::network::Network;
+    use crate::ShardedNetwork;
     use sparsimatch_core::solomon::solomon_sparsifier;
     use sparsimatch_graph::generators::{gnp, path};
 
@@ -56,7 +56,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         for cap in [2usize, 4, 8] {
             let g = gnp(60, 0.2, &mut rng);
-            let mut net = Network::new(&g);
+            let mut net = ShardedNetwork::new(&g, 1);
             let dist = distributed_solomon(&mut net, cap);
             let seq = solomon_sparsifier(&g, cap);
             let de: Vec<_> = dist.edges().map(|(_, u, v)| (u.0, v.0)).collect();
@@ -68,7 +68,7 @@ mod tests {
     #[test]
     fn one_round_one_bit() {
         let g = path(50);
-        let mut net = Network::new(&g);
+        let mut net = ShardedNetwork::new(&g, 1);
         let s = distributed_solomon(&mut net, 3);
         let m = net.metrics();
         assert_eq!(m.rounds, 1);
@@ -81,7 +81,7 @@ mod tests {
         use rand::{rngs::StdRng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(2);
         let g = gnp(80, 0.3, &mut rng);
-        let mut net = Network::new(&g);
+        let mut net = ShardedNetwork::new(&g, 1);
         let s = distributed_solomon(&mut net, 5);
         assert!(s.max_degree() <= 5);
     }

@@ -138,14 +138,14 @@ pub fn distributed_sparsifier_broadcast<'g>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::network::Network;
+    use crate::ShardedNetwork;
     use sparsimatch_graph::generators::{clique, clique_union, star, CliqueUnionConfig};
     use sparsimatch_matching::blossom::maximum_matching;
 
     #[test]
     fn single_round_and_message_bound() {
         let g = clique(100);
-        let mut net = Network::new(&g);
+        let mut net = ShardedNetwork::new(&g, 1);
         let p = SparsifierParams::with_delta(1, 0.5, 4);
         let s = distributed_sparsifier(&mut net, &p, 7);
         let m = net.metrics();
@@ -159,7 +159,7 @@ mod tests {
     #[test]
     fn low_degree_nodes_keep_their_whole_neighborhood() {
         let g = star(40);
-        let mut net = Network::new(&g);
+        let mut net = ShardedNetwork::new(&g, 1);
         let p = SparsifierParams::with_delta(1, 0.5, 3);
         let s = distributed_sparsifier(&mut net, &p, 1);
         assert_eq!(s.num_edges(), 39, "leaves mark their only edge");
@@ -177,7 +177,7 @@ mod tests {
             },
             &mut rng,
         );
-        let mut net = Network::new(&g);
+        let mut net = ShardedNetwork::new(&g, 1);
         let p = SparsifierParams::with_delta(2, 0.5, 8);
         let _s = distributed_sparsifier(&mut net, &p, 3);
         let m = net.metrics();
@@ -192,7 +192,7 @@ mod tests {
     #[test]
     fn preserves_matching_approximately() {
         let g = clique(150);
-        let mut net = Network::new(&g);
+        let mut net = ShardedNetwork::new(&g, 1);
         let p = SparsifierParams::practical(1, 0.4);
         let s = distributed_sparsifier(&mut net, &p, 11);
         let exact = maximum_matching(&g).len();
@@ -206,9 +206,9 @@ mod tests {
         // different wire format.
         let g = clique(80);
         let p = SparsifierParams::with_delta(1, 0.5, 4);
-        let mut net_u = Network::new(&g);
+        let mut net_u = ShardedNetwork::new(&g, 1);
         let uni = distributed_sparsifier(&mut net_u, &p, 99);
-        let mut net_b = Network::new(&g);
+        let mut net_b = ShardedNetwork::new(&g, 1);
         let bro = distributed_sparsifier_broadcast(&mut net_b, &p, 99);
         let eu: Vec<_> = uni.edges().map(|(_, u, v)| (u.0, v.0)).collect();
         let eb: Vec<_> = bro.edges().map(|(_, u, v)| (u.0, v.0)).collect();
@@ -224,9 +224,9 @@ mod tests {
     fn deterministic_under_seed() {
         let g = clique(60);
         let p = SparsifierParams::with_delta(1, 0.5, 3);
-        let mut net1 = Network::new(&g);
+        let mut net1 = ShardedNetwork::new(&g, 1);
         let s1 = distributed_sparsifier(&mut net1, &p, 42);
-        let mut net2 = Network::new(&g);
+        let mut net2 = ShardedNetwork::new(&g, 1);
         let s2 = distributed_sparsifier(&mut net2, &p, 42);
         let e1: Vec<_> = s1.edges().map(|(_, u, v)| (u.0, v.0)).collect();
         let e2: Vec<_> = s2.edges().map(|(_, u, v)| (u.0, v.0)).collect();

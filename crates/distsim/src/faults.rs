@@ -5,10 +5,11 @@
 //! module exists to *test* that claim instead of assuming it. A
 //! [`FaultPlan`] is a pure function from a `u64` seed and a set of rates
 //! to per-round fault decisions: message drops, duplications, within-round
-//! inbox reorderings, and node crash/recover windows. A
-//! [`FaultyNetwork`] wraps a topology with a plan and implements the same
-//! [`Net`] interface as the perfect [`Network`], so every algorithm in
-//! [`crate::algorithms`] runs unmodified over it.
+//! inbox reorderings, and node crash/recover windows. Every pipeline runs
+//! its plan on [`ShardedNetwork`](crate::ShardedNetwork);
+//! [`FaultyNetwork`] is the same [`Net`] round written as one sequential
+//! loop — the reference the differential tests hold the sharded engine
+//! to, at every thread count.
 //!
 //! Design rules:
 //!
@@ -17,9 +18,9 @@
 //!   `(algorithm seed, plan)` pair produce identical outputs, metrics,
 //!   and fault counters. No global RNG, no iteration-order dependence.
 //! * **Zero-fault transparency.** A [`FaultPlan::none`] plan with the
-//!   default (disabled) [`ResilienceParams`] makes [`FaultyNetwork`]
-//!   byte-identical to [`Network`]: same inboxes in the same order, same
-//!   [`Metrics`], zero fault counters. Pinned by tests.
+//!   default (disabled) [`ResilienceParams`] is a perfect network: same
+//!   inboxes in the same order and same [`Metrics`] as the sharded
+//!   engine's fault-free path, zero fault counters. Pinned by tests.
 //! * **Honest accounting.** Sends are counted when the sender is up,
 //!   whether or not delivery succeeds; ack/retry traffic from the
 //!   resilience layer is charged as real rounds, messages, and bits.
@@ -28,7 +29,7 @@
 //! DESIGN.md §7 ("Fault model").
 
 use crate::metrics::Metrics;
-use crate::network::{Incoming, Net, Network, Outgoing};
+use crate::network::{Incoming, Net, Outgoing, PortTables};
 use sparsimatch_graph::csr::CsrGraph;
 use sparsimatch_graph::ids::VertexId;
 use sparsimatch_obs::{keys, WorkMeter};
@@ -110,7 +111,7 @@ impl Default for ResilienceParams {
     }
 }
 
-/// Fault counters accumulated by a [`FaultyNetwork`].
+/// Fault counters accumulated by a transport running a [`FaultPlan`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// Messages lost: link drops plus messages suppressed or discarded
@@ -207,8 +208,7 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// The empty plan: no faults, ever. [`FaultyNetwork`] under this plan
-    /// is byte-identical to [`Network`].
+    /// The empty plan: no faults, ever — a perfect network.
     pub fn none() -> Self {
         FaultPlan::new(0, FaultRates::default())
     }
@@ -327,11 +327,18 @@ impl FaultPlan {
     }
 }
 
-/// A [`Net`] transport that injects the faults of a [`FaultPlan`] and
-/// optionally runs the ack/retry resilience protocol of
-/// [`ResilienceParams`] under every logical exchange.
+/// The sequential reference transport: a [`Net`] that injects the faults
+/// of a [`FaultPlan`] and optionally runs the ack/retry resilience
+/// protocol of [`ResilienceParams`] under every logical exchange, in one
+/// plain loop over the senders.
+///
+/// No pipeline builds it. It exists so the differential tests (and the
+/// `distsim` oracle of the check harness) can demand that
+/// [`ShardedNetwork`](crate::ShardedNetwork) reproduce it exactly —
+/// inboxes, [`Metrics`], and [`FaultStats`] — at every thread count, with
+/// [`FaultPlan::none`] as the perfect-network reference.
 pub struct FaultyNetwork<'g> {
-    inner: Network<'g>,
+    ports: PortTables<'g>,
     plan: FaultPlan,
     resilience: ResilienceParams,
     metrics: Metrics,
@@ -378,7 +385,7 @@ impl<'g> FaultyNetwork<'g> {
         resilience: ResilienceParams,
     ) -> Self {
         FaultyNetwork {
-            inner: Network::new(graph),
+            ports: PortTables::new(graph),
             plan,
             resilience,
             metrics: Metrics::new(),
@@ -408,18 +415,14 @@ impl<'g> FaultyNetwork<'g> {
     }
 
     fn account_crashes(&mut self, round: u64) {
-        if !self.plan.has_crashes() {
-            return;
-        }
-        let n = self.inner.num_nodes() as u32;
-        self.faults.crashed_rounds +=
-            (0..n).filter(|&v| self.plan.is_down(v, round)).count() as u64;
+        let n = self.ports.graph().num_vertices() as u32;
+        self.faults.crashed_rounds += crashed_count(&self.plan, n, round);
     }
 }
 
 impl<'g> Net<'g> for FaultyNetwork<'g> {
     fn graph(&self) -> &'g CsrGraph {
-        self.inner.graph()
+        self.ports.graph()
     }
 
     fn metrics(&self) -> Metrics {
@@ -430,24 +433,24 @@ impl<'g> Net<'g> for FaultyNetwork<'g> {
         &mut self,
         outboxes: Vec<Vec<Outgoing<M>>>,
     ) -> Vec<Vec<Incoming<M>>> {
-        let graph = self.inner.graph();
+        let graph = self.ports.graph();
         let n = graph.num_vertices();
         assert_eq!(outboxes.len(), n);
-        // Flatten in (sender, outbox-order) — the order Network delivers
-        // in, so the zero-fault path is byte-identical.
+        // Flatten in (sender, outbox-order) — the order a perfect round
+        // delivers in, so the zero-fault path is byte-identical.
         let mut pending: Vec<Pending<M>> = Vec::new();
         for (v, outbox) in outboxes.into_iter().enumerate() {
             let v = VertexId::new(v);
             for (port, payload, bits) in outbox {
                 assert!(port < graph.degree(v), "port out of range");
                 let dest = graph.neighbor(v, port);
-                let in_port = self.inner.in_port(v, port);
+                let in_port = self.ports.in_port(v, port);
                 pending.push(Pending {
                     sender: v,
                     dest,
                     in_port,
-                    slot: self.inner.slot_of(v, port) as u64,
-                    back_slot: self.inner.slot_of(dest, in_port) as u64,
+                    slot: self.ports.slot_of(v, port) as u64,
+                    back_slot: self.ports.slot_of(dest, in_port) as u64,
                     payload: Some(payload),
                     bits,
                     deliveries: 0,
@@ -553,19 +556,14 @@ impl<'g> Net<'g> for FaultyNetwork<'g> {
     }
 
     fn charge_gather(&mut self, radius: usize, bits_per_message: u64) {
-        // Same totals as Network::charge_gather, with per-round crash
-        // accounting. Gathers are bulk transfers read off the master
-        // graph; the fault model reflects crashes by shrinking the balls
-        // (see `ball`), not by corrupting their content.
-        let m2 = 2 * self.inner.graph().num_edges() as u64;
-        for _ in 0..radius {
-            self.metrics.rounds += 1;
-            let round = self.metrics.rounds;
-            self.account_crashes(round);
-        }
-        self.metrics.messages += radius as u64 * m2;
-        self.metrics.bits += radius as u64 * m2 * bits_per_message;
-        self.metrics.max_message_bits = self.metrics.max_message_bits.max(bits_per_message);
+        charge_gather(
+            self.ports.graph(),
+            &self.plan,
+            &mut self.metrics,
+            &mut self.faults,
+            radius,
+            bits_per_message,
+        );
     }
 
     fn record_clones(&mut self, count: u64) {
@@ -573,14 +571,10 @@ impl<'g> Net<'g> for FaultyNetwork<'g> {
     }
 
     fn ball(&self, v: VertexId, radius: usize) -> Vec<VertexId> {
-        if !self.plan.has_crashes() {
-            return self.inner.ball(v, radius);
-        }
-        // Evaluated at the current round (the last charged gather round).
         crash_aware_ball(
-            self.inner.graph(),
+            self.ports.graph(),
             &self.plan,
-            self.metrics.rounds.max(1),
+            self.metrics.rounds,
             v,
             radius,
         )
@@ -591,11 +585,43 @@ impl<'g> Net<'g> for FaultyNetwork<'g> {
     }
 }
 
-/// The radius-`r` ball around `v` as a crash-afflicted gather delivers it:
-/// crashed nodes neither forward nor reply, so they (and everything
-/// reachable only through them) are absent. A down origin knows only
-/// itself. Shared by [`FaultyNetwork`] and the sharded transport so the
-/// two report identical balls at identical rounds.
+/// Node-rounds spent crashed in physical round `round` (`n` nodes).
+pub(crate) fn crashed_count(plan: &FaultPlan, n: u32, round: u64) -> u64 {
+    if !plan.has_crashes() {
+        return 0;
+    }
+    (0..n).filter(|&v| plan.is_down(v, round)).count() as u64
+}
+
+/// [`Net::charge_gather`] for both transports: `radius` rounds (each with
+/// its crash accounting) carrying `radius · 2m` messages. Gathers are bulk
+/// transfers read off the master graph; the fault model reflects crashes
+/// by shrinking the balls (see [`crash_aware_ball`]), not by corrupting
+/// their content.
+pub(crate) fn charge_gather(
+    g: &CsrGraph,
+    plan: &FaultPlan,
+    metrics: &mut Metrics,
+    faults: &mut FaultStats,
+    radius: usize,
+    bits_per_message: u64,
+) {
+    let m2 = 2 * g.num_edges() as u64;
+    let n = g.num_vertices() as u32;
+    for _ in 0..radius {
+        metrics.rounds += 1;
+        faults.crashed_rounds += crashed_count(plan, n, metrics.rounds);
+    }
+    metrics.messages += radius as u64 * m2;
+    metrics.bits += radius as u64 * m2 * bits_per_message;
+    metrics.max_message_bits = metrics.max_message_bits.max(bits_per_message);
+}
+
+/// [`Net::ball`] for both transports: the vertices within distance
+/// `radius` of `v`, in BFS order, as a gather ending at physical round
+/// `round` delivers them. Crashed nodes neither forward nor reply, so they
+/// (and everything reachable only through them) are absent; a down origin
+/// knows only itself. Under a crash-free plan this is the plain ball.
 pub(crate) fn crash_aware_ball(
     g: &CsrGraph,
     plan: &FaultPlan,
@@ -603,6 +629,8 @@ pub(crate) fn crash_aware_ball(
     v: VertexId,
     radius: usize,
 ) -> Vec<VertexId> {
+    // Before the first round, ask about round 1.
+    let round = round.max(1);
     let mut out = vec![v];
     if plan.is_down(v.0, round) {
         return out; // a down node knows only itself
@@ -633,7 +661,6 @@ pub(crate) fn crash_aware_ball(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sparsimatch_graph::csr::from_edges;
     use sparsimatch_graph::generators::{clique, path, star};
 
     fn all_broadcast(n: usize, g: &CsrGraph) -> Vec<Vec<Outgoing<u32>>> {
@@ -643,25 +670,6 @@ mod tests {
                 (0..g.degree(vid)).map(|p| (p, v as u32, 8u64)).collect()
             })
             .collect()
-    }
-
-    #[test]
-    fn zero_fault_plan_is_byte_identical_to_network() {
-        let g = from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (1, 4)]);
-        let mut perfect = Network::new(&g);
-        let mut faulty = FaultyNetwork::new(&g, FaultPlan::none());
-        for round in 0..4 {
-            let out = all_broadcast(6, &g);
-            let a = perfect.exchange(out.clone());
-            let b = Net::exchange(&mut faulty, out);
-            assert_eq!(a, b, "round {round}: inboxes must match exactly");
-            assert_eq!(perfect.metrics(), Net::metrics(&faulty));
-        }
-        perfect.charge_gather(3, 16);
-        Net::charge_gather(&mut faulty, 3, 16);
-        assert_eq!(perfect.metrics(), Net::metrics(&faulty));
-        assert_eq!(faulty.fault_stats(), FaultStats::default());
-        assert!(Net::lossless(&faulty));
     }
 
     #[test]
@@ -769,8 +777,8 @@ mod tests {
         let b = run();
         assert_eq!(a, b, "same (seed, plan) => same shuffles");
         // Same multiset as the perfect network, different order somewhere.
-        let mut perfect = Network::new(&g);
-        let p = perfect.exchange(all_broadcast(6, &g));
+        let mut perfect = FaultyNetwork::new(&g, FaultPlan::none());
+        let p = Net::exchange(&mut perfect, all_broadcast(6, &g));
         let mut any_reordered = false;
         for v in 0..6 {
             let mut sa = a[v].clone();

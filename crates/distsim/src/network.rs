@@ -17,16 +17,20 @@ pub type Outgoing<M> = (usize, M, u64);
 /// A message received by a node: (in-port, payload).
 pub type Incoming<M> = (usize, M);
 
-/// The common interface of the perfect [`Network`] and the fault-injecting
-/// [`crate::faults::FaultyNetwork`].
+/// One synchronous LOCAL/CONGEST round model: every node sends, then
+/// every node receives.
 ///
-/// Algorithms written against this trait run unmodified over either
-/// transport: a perfect network delivers every message exactly once per
-/// round, a faulty one may drop, duplicate, or reorder messages and take
-/// extra (accounted) rounds for ack/retry resilience. The `'g` parameter
-/// is the lifetime of the underlying topology, so `graph()` borrows the
-/// graph rather than the network and callers can hold topology references
-/// across accounted rounds.
+/// Every algorithm in [`crate::algorithms`] is written against this
+/// trait. Two transports implement it: [`crate::ShardedNetwork`], the one
+/// every pipeline runs on (any thread count, perfect or under a
+/// [`crate::FaultPlan`]), and [`crate::FaultyNetwork`], the sequential
+/// reference the differential tests compare it against. A perfect round
+/// delivers every message exactly once; under a fault plan messages may
+/// be dropped, duplicated, or reordered and the ack/retry layer may take
+/// extra (accounted) rounds. The `'g` parameter is the lifetime of the
+/// underlying topology, so `graph()` borrows the graph rather than the
+/// network and callers can hold topology references across accounted
+/// rounds.
 ///
 /// `Sync` is a supertrait because the LOCAL augmentation phase fans its
 /// per-node ball computations out over threads holding `&N`.
@@ -49,8 +53,14 @@ pub trait Net<'g>: Sync {
         outboxes: Vec<Vec<Outgoing<M>>>,
     ) -> Vec<Vec<Incoming<M>>>;
 
-    /// Charge the canonical LOCAL "gather your radius-`r` ball" primitive
-    /// (see [`Network::charge_gather`]).
+    /// Charge the canonical LOCAL "gather your radius-`r` ball" primitive:
+    /// `r` rounds in which every vertex forwards everything it knows on
+    /// every port. Messages: `r · 2m`; bits: caller-supplied estimate of
+    /// the per-message payload (e.g. the ball's edge count × bits/edge).
+    ///
+    /// The ball content itself is then read off the master graph via
+    /// [`Net::ball`] — an accounting-faithful shortcut (the protocol
+    /// would deliver exactly that information in `r` rounds).
     fn charge_gather(&mut self, radius: usize, bits_per_message: u64);
 
     /// Account `count` host-side payload clones against this transport's
@@ -125,23 +135,10 @@ pub(crate) fn broadcast_outboxes<M: Clone>(
     (outboxes, clones)
 }
 
-/// The simulated network over a fixed topology.
-///
-/// ```
-/// use sparsimatch_distsim::Network;
-/// use sparsimatch_graph::generators::path;
-///
-/// let g = path(3); // 0 - 1 - 2
-/// let mut net = Network::new(&g);
-/// // Vertex 0 sends one 8-bit message to its only neighbor.
-/// let mut out: Vec<Vec<(usize, u32, u64)>> = vec![vec![]; 3];
-/// out[0].push((0, 42, 8));
-/// let inboxes = net.exchange(out);
-/// assert_eq!(inboxes[1].iter().map(|&(_, m)| m).collect::<Vec<_>>(), vec![42]);
-/// assert_eq!(net.metrics().rounds, 1);
-/// assert_eq!(net.metrics().bits, 8);
-/// ```
-pub struct Network<'g> {
+/// The port tables of a fixed topology: which in-port a message sent on
+/// `(v, port)` arrives on, and the dense half-edge slot ids the fault
+/// layer keys its decisions by. Both transports route through one.
+pub(crate) struct PortTables<'g> {
     graph: &'g CsrGraph,
     /// For the half-edge at global CSR slot `s` (vertex `u`, port `i`),
     /// `peer_port[s]` is the port index of the same edge at the other
@@ -149,18 +146,13 @@ pub struct Network<'g> {
     peer_port: Vec<u32>,
     /// Global slot offset of each vertex (mirror of CSR offsets).
     offsets: Vec<usize>,
-    metrics: Metrics,
 }
 
-impl<'g> Network<'g> {
-    /// Wrap a topology.
-    pub fn new(graph: &'g CsrGraph) -> Self {
+impl<'g> PortTables<'g> {
+    /// Build the tables of a topology.
+    pub(crate) fn new(graph: &'g CsrGraph) -> Self {
         let n = graph.num_vertices();
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0usize);
-        for v in 0..n {
-            offsets.push(offsets[v] + graph.degree(VertexId::new(v)));
-        }
+        let offsets = crate::shard::csr_offsets(graph);
         // slot_of_edge[e] = (slot at smaller endpoint, slot at larger endpoint)
         let mut slot_small = vec![u32::MAX; graph.num_edges()];
         let mut slot_large = vec![u32::MAX; graph.num_edges()];
@@ -185,34 +177,16 @@ impl<'g> Network<'g> {
                 };
             }
         }
-        Network {
+        PortTables {
             graph,
             peer_port,
             offsets,
-            metrics: Metrics::new(),
         }
     }
 
-    /// The underlying topology. The returned reference borrows the graph
-    /// itself (lifetime `'g`), not the network, so callers can hold it
-    /// across accounted rounds.
-    pub fn graph(&self) -> &'g CsrGraph {
+    /// The underlying topology (borrowing the graph, not the tables).
+    pub(crate) fn graph(&self) -> &'g CsrGraph {
         self.graph
-    }
-
-    /// Number of nodes.
-    pub fn num_nodes(&self) -> usize {
-        self.graph.num_vertices()
-    }
-
-    /// Metrics accumulated so far.
-    pub fn metrics(&self) -> Metrics {
-        self.metrics
-    }
-
-    /// The neighbor reached through `(v, port)`.
-    pub fn peer(&self, v: VertexId, port: usize) -> VertexId {
-        self.graph.neighbor(v, port)
     }
 
     /// The port index of the edge `(v, port)` at the *other* endpoint:
@@ -220,7 +194,7 @@ impl<'g> Network<'g> {
     ///
     /// # Panics
     /// Panics if `port >= deg(v)`.
-    pub fn in_port(&self, v: VertexId, port: usize) -> usize {
+    pub(crate) fn in_port(&self, v: VertexId, port: usize) -> usize {
         assert!(port < self.graph.degree(v), "port out of range");
         self.peer_port[self.offsets[v.index()] + port] as usize
     }
@@ -231,178 +205,82 @@ impl<'g> Network<'g> {
         self.offsets[v.index()] + port
     }
 
-    /// The routing tables shared with the sharded transport:
-    /// (per-vertex slot offsets, peer-port per half-edge slot).
+    /// The raw tables: (per-vertex slot offsets, peer-port per half-edge
+    /// slot).
     pub(crate) fn tables(&self) -> (&[usize], &[u32]) {
         (&self.offsets, &self.peer_port)
-    }
-
-    /// One synchronous round: every node's outbox is delivered to the
-    /// corresponding peer's inbox (tagged with the receiving port).
-    /// `outboxes[v]` lists `(port, payload, payload_bits)`.
-    ///
-    /// # Panics
-    /// Panics if `outboxes.len() != num_nodes()` or an entry names a port
-    /// `>= deg(v)`: outboxes are produced by the simulated algorithm, not
-    /// by the (possibly adversarial) environment, so a bad port is a
-    /// protocol bug and fails loudly instead of being dropped.
-    pub fn exchange<M: Clone + Send>(
-        &mut self,
-        outboxes: Vec<Vec<Outgoing<M>>>,
-    ) -> Vec<Vec<Incoming<M>>> {
-        assert_eq!(outboxes.len(), self.num_nodes());
-        self.metrics.rounds += 1;
-        let mut inboxes: Vec<Vec<Incoming<M>>> = vec![Vec::new(); self.num_nodes()];
-        for (v, outbox) in outboxes.into_iter().enumerate() {
-            let v = VertexId::new(v);
-            for (port, payload, bits) in outbox {
-                assert!(port < self.graph.degree(v), "port out of range");
-                let u = self.graph.neighbor(v, port);
-                let in_port = self.peer_port[self.offsets[v.index()] + port] as usize;
-                self.metrics.messages += 1;
-                self.metrics.bits += bits;
-                self.metrics.max_message_bits = self.metrics.max_message_bits.max(bits);
-                inboxes[u.index()].push((in_port, payload));
-            }
-        }
-        inboxes
-    }
-
-    /// Broadcast convenience: every node sends the same payload on all its
-    /// ports (the broadcast transmission mode of Section 3.2). Performs
-    /// `deg(v) - 1` payload clones per speaking node, counted in
-    /// [`Metrics::messages_cloned`].
-    pub fn broadcast_exchange<M: Clone + Send>(
-        &mut self,
-        payloads: Vec<(M, u64)>,
-    ) -> Vec<Vec<Incoming<M>>> {
-        let (outboxes, clones) = broadcast_outboxes(self.graph, payloads);
-        self.metrics.messages_cloned += clones;
-        self.exchange(outboxes)
-    }
-
-    /// Charge the canonical LOCAL "gather your radius-`r` ball" primitive:
-    /// `r` rounds in which every vertex forwards everything it knows on
-    /// every port. Messages: `r · 2m`; bits: caller-supplied estimate of
-    /// the per-message payload (e.g. the ball's edge count × bits/edge).
-    ///
-    /// The ball content itself is then read off the master graph by the
-    /// caller — an accounting-faithful shortcut (the protocol would deliver
-    /// exactly that information in `r` rounds).
-    pub fn charge_gather(&mut self, radius: usize, bits_per_message: u64) {
-        let m2 = 2 * self.graph.num_edges() as u64;
-        self.metrics.rounds += radius as u64;
-        self.metrics.messages += radius as u64 * m2;
-        self.metrics.bits += radius as u64 * m2 * bits_per_message;
-        self.metrics.max_message_bits = self.metrics.max_message_bits.max(bits_per_message);
-    }
-
-    /// Collect the radius-`r` ball around `v`: vertices at distance ≤ r.
-    /// Pure topology helper (pair with [`Network::charge_gather`] for
-    /// accounting).
-    pub fn ball(&self, v: VertexId, radius: usize) -> Vec<VertexId> {
-        let mut dist = std::collections::HashMap::new();
-        dist.insert(v, 0usize);
-        let mut queue = std::collections::VecDeque::new();
-        queue.push_back(v);
-        let mut out = vec![v];
-        while let Some(u) = queue.pop_front() {
-            let du = dist[&u];
-            if du == radius {
-                continue;
-            }
-            for w in self.graph.neighbors(u) {
-                if let std::collections::hash_map::Entry::Vacant(e) = dist.entry(w) {
-                    e.insert(du + 1);
-                    out.push(w);
-                    queue.push_back(w);
-                }
-            }
-        }
-        out
-    }
-}
-
-impl<'g> Net<'g> for Network<'g> {
-    fn graph(&self) -> &'g CsrGraph {
-        Network::graph(self)
-    }
-
-    fn metrics(&self) -> Metrics {
-        Network::metrics(self)
-    }
-
-    fn exchange<M: Clone + Send>(
-        &mut self,
-        outboxes: Vec<Vec<Outgoing<M>>>,
-    ) -> Vec<Vec<Incoming<M>>> {
-        Network::exchange(self, outboxes)
-    }
-
-    fn charge_gather(&mut self, radius: usize, bits_per_message: u64) {
-        Network::charge_gather(self, radius, bits_per_message)
-    }
-
-    fn record_clones(&mut self, count: u64) {
-        self.metrics.messages_cloned += count;
-    }
-
-    fn ball(&self, v: VertexId, radius: usize) -> Vec<VertexId> {
-        Network::ball(self, v, radius)
-    }
-
-    fn num_nodes(&self) -> usize {
-        Network::num_nodes(self)
-    }
-
-    fn peer(&self, v: VertexId, port: usize) -> VertexId {
-        Network::peer(self, v, port)
-    }
-
-    fn broadcast_exchange<M: Clone + Send>(
-        &mut self,
-        payloads: Vec<(M, u64)>,
-    ) -> Vec<Vec<Incoming<M>>> {
-        Network::broadcast_exchange(self, payloads)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ShardedNetwork;
     use sparsimatch_graph::csr::from_edges;
     use sparsimatch_graph::generators::{cycle, path, star};
+
+    /// The round semantics below hold for the inline one-shard engine and
+    /// for a multi-shard one alike.
+    const THREADS: [usize; 2] = [1, 3];
+
+    /// Run `f` at every thread count and return the panic message each
+    /// run died with.
+    fn panic_messages(f: impl Fn(usize) + std::panic::RefUnwindSafe) -> Vec<String> {
+        THREADS
+            .iter()
+            .map(|&t| {
+                let payload = std::panic::catch_unwind(|| f(t)).expect_err("must panic");
+                payload
+                    .downcast_ref::<&str>()
+                    .map(|s| s.to_string())
+                    .or_else(|| payload.downcast_ref::<String>().cloned())
+                    .unwrap_or_default()
+            })
+            .collect()
+    }
 
     #[test]
     fn peer_ports_are_inverse() {
         let g = from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 3)]);
-        let net = Network::new(&g);
+        let ports = PortTables::new(&g);
         for v in 0..5 {
             let v = VertexId::new(v);
             for port in 0..g.degree(v) {
-                let u = net.peer(v, port);
-                let back = net.peer_port[net.offsets[v.index()] + port] as usize;
-                assert_eq!(net.peer(u, back), v, "peer port must point back");
+                let u = g.neighbor(v, port);
+                assert_eq!(
+                    g.neighbor(u, ports.in_port(v, port)),
+                    v,
+                    "peer port must point back"
+                );
             }
         }
     }
 
     #[test]
+    #[should_panic(expected = "port out of range")]
+    fn in_port_rejects_out_of_range() {
+        let g = path(3);
+        let _ = PortTables::new(&g).in_port(VertexId(0), 1);
+    }
+
+    #[test]
     fn exchange_delivers_and_counts() {
         let g = path(3); // 0-1-2
-        let mut net = Network::new(&g);
-        // Vertex 0 sends "7" to its only neighbor (1).
-        let mut out: Vec<Vec<Outgoing<u32>>> = vec![vec![]; 3];
-        out[0].push((0, 7u32, 32));
-        let inboxes = net.exchange(out);
-        let received: Vec<u32> = inboxes[1].iter().map(|&(_, m)| m).collect();
-        assert_eq!(received, vec![7]);
-        assert!(inboxes[0].is_empty() && inboxes[2].is_empty());
-        let m = net.metrics();
-        assert_eq!(m.rounds, 1);
-        assert_eq!(m.messages, 1);
-        assert_eq!(m.bits, 32);
-        assert_eq!(m.messages_cloned, 0, "unicast moves its payload");
+        for t in THREADS {
+            let mut net = ShardedNetwork::new(&g, t);
+            // Vertex 0 sends "7" to its only neighbor (1).
+            let mut out: Vec<Vec<Outgoing<u32>>> = vec![vec![]; 3];
+            out[0].push((0, 7u32, 32));
+            let inboxes = net.exchange(out);
+            let received: Vec<u32> = inboxes[1].iter().map(|&(_, m)| m).collect();
+            assert_eq!(received, vec![7]);
+            assert!(inboxes[0].is_empty() && inboxes[2].is_empty());
+            let m = net.metrics();
+            assert_eq!(m.rounds, 1);
+            assert_eq!(m.messages, 1);
+            assert_eq!(m.bits, 32);
+            assert_eq!(m.messages_cloned, 0, "unicast moves its payload");
+        }
     }
 
     #[test]
@@ -415,62 +293,70 @@ mod tests {
             }
         }
         let g = cycle(4);
-        let mut net = Network::new(&g);
-        let mut out: Vec<Vec<Outgoing<Fragile>>> = vec![vec![], vec![], vec![], vec![]];
-        out[0].push((0, Fragile(9), 8));
-        out[2].push((1, Fragile(11), 8));
-        let inboxes = net.exchange(out);
-        let delivered: u32 = inboxes.iter().flatten().map(|(_, m)| m.0).sum();
-        assert_eq!(delivered, 20);
-        assert_eq!(net.metrics().messages_cloned, 0);
+        for t in THREADS {
+            let mut net = ShardedNetwork::new(&g, t);
+            let mut out: Vec<Vec<Outgoing<Fragile>>> = vec![vec![], vec![], vec![], vec![]];
+            out[0].push((0, Fragile(9), 8));
+            out[2].push((1, Fragile(11), 8));
+            let inboxes = net.exchange(out);
+            let delivered: u32 = inboxes.iter().flatten().map(|(_, m)| m.0).sum();
+            assert_eq!(delivered, 20);
+            assert_eq!(net.metrics().messages_cloned, 0);
+        }
     }
 
     #[test]
     fn broadcast_reaches_all_neighbors() {
         let g = star(5);
-        let mut net = Network::new(&g);
-        let payloads = (0..5).map(|v| (v as u32, 8u64)).collect();
-        let inboxes = net.broadcast_exchange(payloads);
-        // Center (0) hears from all 4 leaves.
-        assert_eq!(inboxes[0].len(), 4);
-        let mut heard: Vec<u32> = inboxes[0].iter().map(|&(_, m)| m).collect();
-        heard.sort_unstable();
-        assert_eq!(heard, vec![1, 2, 3, 4]);
-        // Each leaf hears only the center's value 0.
-        for inbox in &inboxes[1..5] {
-            assert_eq!(*inbox, vec![(0usize, 0u32)]);
+        for t in THREADS {
+            let mut net = ShardedNetwork::new(&g, t);
+            let payloads = (0..5).map(|v| (v as u32, 8u64)).collect();
+            let inboxes = net.broadcast_exchange(payloads);
+            // Center (0) hears from all 4 leaves.
+            assert_eq!(inboxes[0].len(), 4);
+            let mut heard: Vec<u32> = inboxes[0].iter().map(|&(_, m)| m).collect();
+            heard.sort_unstable();
+            assert_eq!(heard, vec![1, 2, 3, 4]);
+            // Each leaf hears only the center's value 0.
+            for inbox in &inboxes[1..5] {
+                assert_eq!(*inbox, vec![(0usize, 0u32)]);
+            }
+            assert_eq!(
+                net.metrics().messages,
+                8,
+                "2m messages on a star of 4 edges"
+            );
+            // Center (degree 4) clones 3 times; each leaf (degree 1) moves.
+            assert_eq!(net.metrics().messages_cloned, 3);
         }
-        assert_eq!(
-            net.metrics().messages,
-            8,
-            "2m messages on a star of 4 edges"
-        );
-        // Center (degree 4) clones 3 times; each leaf (degree 1) moves.
-        assert_eq!(net.metrics().messages_cloned, 3);
     }
 
     #[test]
     fn gather_charging() {
         let g = cycle(6);
-        let mut net = Network::new(&g);
-        net.charge_gather(3, 10);
-        let m = net.metrics();
-        assert_eq!(m.rounds, 3);
-        assert_eq!(m.messages, 3 * 12);
-        assert_eq!(m.bits, 3 * 12 * 10);
+        for t in THREADS {
+            let mut net = ShardedNetwork::new(&g, t);
+            net.charge_gather(3, 10);
+            let m = net.metrics();
+            assert_eq!(m.rounds, 3);
+            assert_eq!(m.messages, 3 * 12);
+            assert_eq!(m.bits, 3 * 12 * 10);
+        }
     }
 
     #[test]
     fn ball_radii() {
         let g = path(7); // 0-1-2-3-4-5-6
-        let net = Network::new(&g);
-        let b0 = net.ball(VertexId(3), 0);
-        assert_eq!(b0.len(), 1);
-        let b2: std::collections::HashSet<u32> =
-            net.ball(VertexId(3), 2).into_iter().map(|v| v.0).collect();
-        assert_eq!(b2, [1u32, 2, 3, 4, 5].into_iter().collect());
-        let ball_all = net.ball(VertexId(0), 10);
-        assert_eq!(ball_all.len(), 7);
+        for t in THREADS {
+            let net = ShardedNetwork::new(&g, t);
+            let b0 = net.ball(VertexId(3), 0);
+            assert_eq!(b0.len(), 1);
+            let b2: std::collections::HashSet<u32> =
+                net.ball(VertexId(3), 2).into_iter().map(|v| v.0).collect();
+            assert_eq!(b2, [1u32, 2, 3, 4, 5].into_iter().collect());
+            let ball_all = net.ball(VertexId(0), 10);
+            assert_eq!(ball_all.len(), 7);
+        }
     }
 
     #[test]
@@ -478,46 +364,47 @@ mod tests {
         // A round in which nobody speaks is still a round: synchronous
         // models charge for the barrier, not the traffic.
         let g = path(4);
-        let mut net = Network::new(&g);
-        for expected in 1..=3u64 {
-            let inboxes = net.exchange(vec![Vec::<Outgoing<u8>>::new(); 4]);
-            assert!(inboxes.iter().all(|i| i.is_empty()));
-            assert_eq!(net.metrics().rounds, expected);
+        for t in THREADS {
+            let mut net = ShardedNetwork::new(&g, t);
+            for expected in 1..=3u64 {
+                let inboxes = net.exchange(vec![Vec::<Outgoing<u8>>::new(); 4]);
+                assert!(inboxes.iter().all(|i| i.is_empty()));
+                assert_eq!(net.metrics().rounds, expected);
+            }
+            assert_eq!(net.metrics().messages, 0);
+            assert_eq!(net.metrics().bits, 0);
         }
-        assert_eq!(net.metrics().messages, 0);
-        assert_eq!(net.metrics().bits, 0);
     }
 
     #[test]
-    #[should_panic(expected = "port out of range")]
     fn port_out_of_range_is_a_documented_panic() {
         let g = path(3); // vertex 0 has degree 1
-        let mut net = Network::new(&g);
-        let mut out: Vec<Vec<Outgoing<u8>>> = vec![vec![]; 3];
-        out[0].push((1, 0u8, 8));
-        let _ = net.exchange(out);
-    }
-
-    #[test]
-    #[should_panic(expected = "port out of range")]
-    fn in_port_rejects_out_of_range() {
-        let g = path(3);
-        let net = Network::new(&g);
-        let _ = net.in_port(VertexId(0), 1);
+        let messages = panic_messages(|t| {
+            let mut net = ShardedNetwork::new(&g, t);
+            let mut out: Vec<Vec<Outgoing<u8>>> = vec![vec![]; 3];
+            out[0].push((1, 0u8, 8));
+            let _ = net.exchange(out);
+        });
+        for (t, msg) in THREADS.iter().zip(messages) {
+            assert!(msg.contains("port out of range"), "t = {t}: {msg:?}");
+        }
     }
 
     #[test]
     fn in_port_matches_delivery_tag() {
         let g = from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 3)]);
-        let mut net = Network::new(&g);
-        for v in 0..5 {
-            let v = VertexId::new(v);
-            for port in 0..g.degree(v) {
-                let mut out: Vec<Vec<Outgoing<u8>>> = vec![vec![]; 5];
-                out[v.index()].push((port, 1u8, 1));
-                let inboxes = net.exchange(out);
-                let u = net.peer(v, port);
-                assert_eq!(inboxes[u.index()], vec![(net.in_port(v, port), 1u8)]);
+        let ports = PortTables::new(&g);
+        for t in THREADS {
+            let mut net = ShardedNetwork::new(&g, t);
+            for v in 0..5 {
+                let v = VertexId::new(v);
+                for port in 0..g.degree(v) {
+                    let mut out: Vec<Vec<Outgoing<u8>>> = vec![vec![]; 5];
+                    out[v.index()].push((port, 1u8, 1));
+                    let inboxes = net.exchange(out);
+                    let u = net.peer(v, port);
+                    assert_eq!(inboxes[u.index()], vec![(ports.in_port(v, port), 1u8)]);
+                }
             }
         }
     }
@@ -526,15 +413,17 @@ mod tests {
     fn port_addressing_round_trip_message() {
         // Reply on the in-port must reach the original sender.
         let g = from_edges(4, [(0, 1), (0, 2), (0, 3)]);
-        let mut net = Network::new(&g);
-        let mut out: Vec<Vec<Outgoing<&'static str>>> = vec![vec![]; 4];
-        out[2].push((0, "ping", 8));
-        let inboxes = net.exchange(out);
-        let (in_port, msg) = inboxes[0][0];
-        assert_eq!(msg, "ping");
-        let mut reply: Vec<Vec<Outgoing<&'static str>>> = vec![vec![]; 4];
-        reply[0].push((in_port, "pong", 8));
-        let inboxes2 = net.exchange(reply);
-        assert_eq!(inboxes2[2], vec![(0usize, "pong")]);
+        for t in THREADS {
+            let mut net = ShardedNetwork::new(&g, t);
+            let mut out: Vec<Vec<Outgoing<&'static str>>> = vec![vec![]; 4];
+            out[2].push((0, "ping", 8));
+            let inboxes = net.exchange(out);
+            let (in_port, msg) = inboxes[0][0];
+            assert_eq!(msg, "ping");
+            let mut reply: Vec<Vec<Outgoing<&'static str>>> = vec![vec![]; 4];
+            reply[0].push((in_port, "pong", 8));
+            let inboxes2 = net.exchange(reply);
+            assert_eq!(inboxes2[2], vec![(0usize, "pong")]);
+        }
     }
 }

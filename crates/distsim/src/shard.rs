@@ -1,5 +1,7 @@
-//! Sharded round execution: the same simulated network, spread over
-//! `std::thread::scope` workers, byte-identical to the sequential one.
+//! Sharded round execution: the simulator's one transport. Rounds run
+//! on `std::thread::scope` workers (one shard runs inline, no thread),
+//! byte-identical to the sequential reference [`FaultyNetwork`] at every
+//! shard count.
 //!
 //! The vertex set is partitioned into contiguous CSR ranges balanced by
 //! half-edge count. Each [`Net::exchange`] runs in two barriers:
@@ -7,14 +9,14 @@
 //! 1. **Send.** Worker `k` walks its senders in ascending vertex order and
 //!    routes each outgoing message into one buffer per destination shard.
 //!    Within a buffer, messages are therefore already ordered by
-//!    `(sender, outbox position)` — the exact order the sequential
-//!    [`Network`] delivers in.
+//!    `(sender, outbox position)` — the exact order a sequential loop over
+//!    the senders delivers in.
 //! 2. **Deliver.** Worker `d` owns the inboxes of its vertex range and
 //!    concatenates the buffers addressed to it in ascending *source-shard*
 //!    order. Source shards are contiguous ascending vertex ranges, so the
 //!    concatenation of per-shard `(sender, seq)` orders is the global
 //!    `(sender, seq)` order: every inbox is byte-identical to the
-//!    sequential transport's, at every shard count.
+//!    sequential reference's, at every shard count.
 //!
 //! The merge order is total — `(source shard, sender, outbox position)`
 //! determines a unique position for every message, no ties — so no
@@ -27,14 +29,18 @@
 //! drop/duplicate/crash decisions independently, per-message retry state
 //! lives with the sender's shard, and the attempt loop of the resilience
 //! layer becomes a sequence of send/ack barriers with the same round
-//! numbering as [`FaultyNetwork`](crate::FaultyNetwork). Inbox
-//! reordering is keyed by
+//! numbering as [`FaultyNetwork`]. Inbox reordering is keyed by
 //! `(logical round, destination node)` and applied by the destination
 //! shard after the merge.
+//!
+//! [`FaultyNetwork`]: crate::FaultyNetwork
 
-use crate::faults::{crash_aware_ball, FaultPlan, FaultStats, Pending, ResilienceParams};
+use crate::faults::{
+    charge_gather, crash_aware_ball, crashed_count, FaultPlan, FaultStats, Pending,
+    ResilienceParams,
+};
 use crate::metrics::Metrics;
-use crate::network::{broadcast_outboxes, Incoming, Net, Network, Outgoing};
+use crate::network::{Incoming, Net, Outgoing, PortTables};
 use sparsimatch_graph::csr::CsrGraph;
 use sparsimatch_graph::ids::VertexId;
 
@@ -42,7 +48,7 @@ use sparsimatch_graph::ids::VertexId;
 /// results in shard order. A single job runs inline (no thread). Worker
 /// panics are re-raised with their original payload, so a protocol bug
 /// (for example an out-of-range port) reports the same message it would
-/// on the sequential transport.
+/// on one shard.
 pub(crate) fn run_jobs<T, F>(jobs: Vec<F>) -> Vec<T>
 where
     T: Send,
@@ -81,8 +87,8 @@ pub(crate) fn balanced_bounds(offsets: &[usize], shards: usize) -> Vec<usize> {
     bounds
 }
 
-/// CSR-style slot offsets of a graph (`n + 1` entries), for callers that
-/// shard by load without building a full [`Network`].
+/// CSR-style slot offsets of a graph (`n + 1` entries): vertex `v` owns
+/// half-edge slots `offsets[v]..offsets[v + 1]`.
 pub(crate) fn csr_offsets(g: &CsrGraph) -> Vec<usize> {
     let n = g.num_vertices();
     let mut offsets = Vec::with_capacity(n + 1);
@@ -109,15 +115,6 @@ fn split_ranges<'a, T>(items: &'a mut [T], bounds: &[usize]) -> Vec<&'a mut [T]>
         rest = tail;
     }
     out
-}
-
-/// Crashed node-rounds charged for one physical round (the sharded mirror
-/// of the sequential transport's per-round crash accounting).
-fn crashed_count(plan: &FaultPlan, n: u32, round: u64) -> u64 {
-    if !plan.has_crashes() {
-        return 0;
-    }
-    (0..n).filter(|&v| plan.is_down(v, round)).count() as u64
 }
 
 /// Append routed messages to their destination inboxes, one worker per
@@ -148,27 +145,31 @@ fn deliver<M: Send>(
     );
 }
 
-/// The sharded transport: a drop-in [`Net`] whose rounds execute on
-/// `threads` scoped workers, byte-identical to [`Network`] (and, under a
-/// [`FaultPlan`], to [`FaultyNetwork`]) at every thread count.
+/// The simulated network: a [`Net`] whose rounds execute on `threads`
+/// scoped workers (`threads == 1` runs inline), perfect or under a
+/// [`FaultPlan`], byte-identical to the sequential reference
+/// [`FaultyNetwork`] under the same plan at every thread count.
+///
+/// A fault-free plan with resilience off takes a direct route-and-deliver
+/// path; any other configuration runs the retry-capable attempt loop.
 ///
 /// ```
-/// use sparsimatch_distsim::{Net, Network, ShardedNetwork};
+/// use sparsimatch_distsim::{FaultPlan, FaultyNetwork, Net, ShardedNetwork};
 /// use sparsimatch_graph::generators::cycle;
 ///
 /// let g = cycle(64);
-/// let mut seq = Network::new(&g);
+/// let mut seq = FaultyNetwork::new(&g, FaultPlan::none());
 /// let mut par = ShardedNetwork::new(&g, 4);
 /// let payloads: Vec<(u32, u64)> = (0..64).map(|v| (v, 8)).collect();
 /// let a = seq.broadcast_exchange(payloads.clone());
 /// let b = par.broadcast_exchange(payloads);
 /// assert_eq!(a, b);
-/// assert_eq!(seq.metrics(), Net::metrics(&par));
+/// assert_eq!(seq.metrics(), par.metrics());
 /// ```
 ///
 /// [`FaultyNetwork`]: crate::faults::FaultyNetwork
 pub struct ShardedNetwork<'g> {
-    inner: Network<'g>,
+    ports: PortTables<'g>,
     plan: FaultPlan,
     resilience: ResilienceParams,
     threads: usize,
@@ -195,10 +196,10 @@ impl<'g> ShardedNetwork<'g> {
         resilience: ResilienceParams,
     ) -> Self {
         assert!(threads >= 1, "thread count must be at least 1");
-        let inner = Network::new(graph);
-        let bounds = balanced_bounds(inner.tables().0, threads);
+        let ports = PortTables::new(graph);
+        let bounds = balanced_bounds(ports.tables().0, threads);
         ShardedNetwork {
-            inner,
+            ports,
             plan,
             resilience,
             threads,
@@ -240,28 +241,18 @@ impl<'g> ShardedNetwork<'g> {
         self.metrics
     }
 
-    /// Broadcast convenience mirroring [`Network::broadcast_exchange`].
-    pub fn broadcast_exchange<M: Clone + Send>(
-        &mut self,
-        payloads: Vec<(M, u64)>,
-    ) -> Vec<Vec<Incoming<M>>> {
-        let (outboxes, clones) = broadcast_outboxes(self.inner.graph(), payloads);
-        self.metrics.messages_cloned += clones;
-        Net::exchange(self, outboxes)
-    }
-
     /// Fault-free exchange: send barrier, deterministic merge, deliver
     /// barrier.
     fn exchange_perfect<M: Clone + Send>(
         &mut self,
         mut outboxes: Vec<Vec<Outgoing<M>>>,
     ) -> Vec<Vec<Incoming<M>>> {
-        let n = self.inner.num_nodes();
+        let graph = self.ports.graph();
+        let n = graph.num_vertices();
         assert_eq!(outboxes.len(), n);
         self.metrics.rounds += 1;
         let t = self.threads;
-        let graph = self.inner.graph();
-        let (offsets, peer_port) = self.inner.tables();
+        let (offsets, peer_port) = self.ports.tables();
         let bounds: &[usize] = &self.bounds;
 
         struct SendOut<M> {
@@ -323,17 +314,24 @@ impl<'g> ShardedNetwork<'g> {
         &mut self,
         mut outboxes: Vec<Vec<Outgoing<M>>>,
     ) -> Vec<Vec<Incoming<M>>> {
-        let n = self.inner.num_nodes();
+        // Split borrows: the workers read the plan, bounds and tables
+        // while the loop below adds to the counters.
+        let ShardedNetwork {
+            ref ports,
+            ref plan,
+            resilience,
+            threads: t,
+            ref bounds,
+            ref mut metrics,
+            ref mut faults,
+        } = *self;
+        let graph = ports.graph();
+        let n = graph.num_vertices();
         assert_eq!(outboxes.len(), n);
-        let t = self.threads;
-        let graph = self.inner.graph();
-        let (offsets, peer_port) = self.inner.tables();
-        let plan = self.plan.clone();
-        let resilience = self.resilience;
-        let bounds = self.bounds.clone();
+        let (offsets, peer_port) = ports.tables();
 
         let mut pending_shards: Vec<Vec<Pending<M>>> = run_jobs(
-            split_ranges(&mut outboxes, &bounds)
+            split_ranges(&mut outboxes, bounds)
                 .into_iter()
                 .enumerate()
                 .map(|(k, slice)| {
@@ -366,7 +364,7 @@ impl<'g> ShardedNetwork<'g> {
                 .collect(),
         );
 
-        let logical_round = self.metrics.rounds + 1;
+        let logical_round = metrics.rounds + 1;
         let mut inboxes: Vec<Vec<Incoming<M>>> = Vec::with_capacity(n);
         inboxes.resize_with(n, Vec::new);
         let attempts = 1 + if resilience.enabled() {
@@ -383,20 +381,18 @@ impl<'g> ShardedNetwork<'g> {
                 if outstanding == 0 {
                     break;
                 }
-                self.faults.retries += outstanding;
+                faults.retries += outstanding;
             }
             // Send round.
-            self.metrics.rounds += 1;
-            let round = self.metrics.rounds;
-            self.faults.crashed_rounds += crashed_count(&plan, n as u32, round);
+            metrics.rounds += 1;
+            let round = metrics.rounds;
+            faults.crashed_rounds += crashed_count(plan, n as u32, round);
             struct SendRes<M> {
                 buffers: Vec<Vec<(u32, u32, M)>>,
                 metrics: Metrics,
                 faults: FaultStats,
                 delivered: Vec<usize>,
             }
-            let bounds_ref: &[usize] = &bounds;
-            let plan_ref = &plan;
             let results: Vec<SendRes<M>> = run_jobs(
                 pending_shards
                     .iter_mut()
@@ -411,21 +407,21 @@ impl<'g> ShardedNetwork<'g> {
                                 if msg.acked {
                                     continue;
                                 }
-                                if plan_ref.is_down(msg.sender.0, round) {
+                                if plan.is_down(msg.sender.0, round) {
                                     f.dropped += 1;
                                     continue;
                                 }
                                 m.messages += 1;
                                 m.bits += msg.bits;
                                 m.max_message_bits = m.max_message_bits.max(msg.bits);
-                                if plan_ref.is_down(msg.dest.0, round)
-                                    || plan_ref.message_dropped(round, msg.slot)
+                                if plan.is_down(msg.dest.0, round)
+                                    || plan.message_dropped(round, msg.slot)
                                 {
                                     f.dropped += 1;
                                     continue;
                                 }
-                                let dup = plan_ref.message_duplicated(round, msg.slot);
-                                let d = shard_of(bounds_ref, msg.dest.index());
+                                let dup = plan.message_duplicated(round, msg.slot);
+                                let d = shard_of(bounds, msg.dest.index());
                                 let (payload, cloned) =
                                     msg.payload_for_delivery(resilience.enabled() || dup);
                                 m.messages_cloned += cloned as u64;
@@ -458,22 +454,22 @@ impl<'g> ShardedNetwork<'g> {
                 (0..t).map(|_| Vec::with_capacity(t)).collect();
             let mut delivered_shards: Vec<Vec<usize>> = Vec::with_capacity(t);
             for r in results {
-                self.metrics.absorb(r.metrics);
-                self.faults.absorb(r.faults);
+                metrics.absorb(r.metrics);
+                faults.absorb(r.faults);
                 delivered_shards.push(r.delivered);
                 for (d, buf) in r.buffers.into_iter().enumerate() {
                     grouped[d].push(buf);
                 }
             }
-            deliver(&mut inboxes, grouped, &bounds);
+            deliver(&mut inboxes, grouped, bounds);
             if !resilience.enabled() {
                 break;
             }
             // Ack round: each delivery is acked along the reverse edge;
             // acks travel the same faulty links.
-            self.metrics.rounds += 1;
-            let ack_round = self.metrics.rounds;
-            self.faults.crashed_rounds += crashed_count(&plan, n as u32, ack_round);
+            metrics.rounds += 1;
+            let ack_round = metrics.rounds;
+            faults.crashed_rounds += crashed_count(plan, n as u32, ack_round);
             let acks: Vec<(Metrics, FaultStats)> = run_jobs(
                 pending_shards
                     .iter_mut()
@@ -484,14 +480,14 @@ impl<'g> ShardedNetwork<'g> {
                             let mut f = FaultStats::default();
                             for i in delivered {
                                 let msg = &mut shard[i];
-                                if plan_ref.is_down(msg.dest.0, ack_round) {
+                                if plan.is_down(msg.dest.0, ack_round) {
                                     continue; // acker is down: no ack sent at all
                                 }
                                 m.messages += 1;
                                 m.bits += resilience.ack_bits;
                                 m.max_message_bits = m.max_message_bits.max(resilience.ack_bits);
-                                if plan_ref.is_down(msg.sender.0, ack_round)
-                                    || plan_ref.message_dropped(ack_round, msg.back_slot)
+                                if plan.is_down(msg.sender.0, ack_round)
+                                    || plan.message_dropped(ack_round, msg.back_slot)
                                 {
                                     f.dropped += 1;
                                     continue;
@@ -504,8 +500,8 @@ impl<'g> ShardedNetwork<'g> {
                     .collect(),
             );
             for (m, f) in acks {
-                self.metrics.absorb(m);
-                self.faults.absorb(f);
+                metrics.absorb(m);
+                faults.absorb(f);
             }
             if pending_shards.iter().all(|s| s.iter().all(|p| p.acked)) {
                 break;
@@ -514,16 +510,15 @@ impl<'g> ShardedNetwork<'g> {
         // Within-round reordering, keyed by the logical round so retries
         // do not change which inboxes get shuffled; applied by the
         // destination shard after the merge.
-        let plan_ref = &plan;
         run_jobs(
-            split_ranges(&mut inboxes, &bounds)
+            split_ranges(&mut inboxes, bounds)
                 .into_iter()
                 .enumerate()
                 .map(|(k, slice)| {
                     let base = bounds[k];
                     move || {
                         for (i, inbox) in slice.iter_mut().enumerate() {
-                            plan_ref.maybe_shuffle(logical_round, (base + i) as u32, inbox);
+                            plan.maybe_shuffle(logical_round, (base + i) as u32, inbox);
                         }
                     }
                 })
@@ -535,7 +530,7 @@ impl<'g> ShardedNetwork<'g> {
 
 impl<'g> Net<'g> for ShardedNetwork<'g> {
     fn graph(&self) -> &'g CsrGraph {
-        self.inner.graph()
+        self.ports.graph()
     }
 
     fn metrics(&self) -> Metrics {
@@ -554,18 +549,14 @@ impl<'g> Net<'g> for ShardedNetwork<'g> {
     }
 
     fn charge_gather(&mut self, radius: usize, bits_per_message: u64) {
-        // Same totals as the sequential transports; gathers are bulk
-        // transfers read off the master graph (see Network::charge_gather).
-        let m2 = 2 * self.inner.graph().num_edges() as u64;
-        let n = self.inner.num_nodes() as u32;
-        for _ in 0..radius {
-            self.metrics.rounds += 1;
-            let round = self.metrics.rounds;
-            self.faults.crashed_rounds += crashed_count(&self.plan, n, round);
-        }
-        self.metrics.messages += radius as u64 * m2;
-        self.metrics.bits += radius as u64 * m2 * bits_per_message;
-        self.metrics.max_message_bits = self.metrics.max_message_bits.max(bits_per_message);
+        charge_gather(
+            self.ports.graph(),
+            &self.plan,
+            &mut self.metrics,
+            &mut self.faults,
+            radius,
+            bits_per_message,
+        );
     }
 
     fn record_clones(&mut self, count: u64) {
@@ -573,13 +564,10 @@ impl<'g> Net<'g> for ShardedNetwork<'g> {
     }
 
     fn ball(&self, v: VertexId, radius: usize) -> Vec<VertexId> {
-        if !self.plan.has_crashes() {
-            return self.inner.ball(v, radius);
-        }
         crash_aware_ball(
-            self.inner.graph(),
+            self.ports.graph(),
             &self.plan,
-            self.metrics.rounds.max(1),
+            self.metrics.rounds,
             v,
             radius,
         )
@@ -631,7 +619,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(77);
         let g = gnp(80, 0.08, &mut rng);
         for t in [1usize, 2, 4, 8, 13] {
-            let mut seq = Network::new(&g);
+            let mut seq = FaultyNetwork::new(&g, FaultPlan::none());
             let mut par = ShardedNetwork::new(&g, t);
             for round in 0..3 {
                 let out = all_broadcast(&g);
@@ -643,8 +631,9 @@ mod tests {
             seq.charge_gather(2, 16);
             Net::charge_gather(&mut par, 2, 16);
             assert_eq!(seq.metrics(), par.metrics());
+            assert_eq!(seq.fault_stats(), FaultStats::default());
             assert_eq!(par.fault_stats(), FaultStats::default());
-            assert!(Net::lossless(&par));
+            assert!(Net::lossless(&seq) && Net::lossless(&par));
         }
     }
 
@@ -700,7 +689,7 @@ mod tests {
     #[test]
     fn broadcast_counts_clones_like_sequential() {
         let g = star(5);
-        let mut seq = Network::new(&g);
+        let mut seq = FaultyNetwork::new(&g, FaultPlan::none());
         let mut par = ShardedNetwork::new(&g, 4);
         let payloads: Vec<(u32, u64)> = (0..5).map(|v| (v, 8)).collect();
         let a = seq.broadcast_exchange(payloads.clone());
@@ -713,21 +702,11 @@ mod tests {
     #[test]
     fn more_shards_than_vertices_still_deliver() {
         let g = from_edges(3, [(0, 1), (1, 2)]);
-        let mut seq = Network::new(&g);
+        let mut seq = FaultyNetwork::new(&g, FaultPlan::none());
         let mut par = ShardedNetwork::new(&g, 16);
         let out = all_broadcast(&g);
         assert_eq!(seq.exchange(out.clone()), Net::exchange(&mut par, out));
         assert_eq!(seq.metrics(), par.metrics());
-    }
-
-    #[test]
-    #[should_panic(expected = "port out of range")]
-    fn port_out_of_range_panics_with_the_documented_message() {
-        let g = path(3); // vertex 0 has degree 1
-        let mut net = ShardedNetwork::new(&g, 2);
-        let mut out: Vec<Vec<Outgoing<u8>>> = vec![vec![]; 3];
-        out[0].push((1, 0u8, 8));
-        let _ = Net::exchange(&mut net, out);
     }
 
     #[test]

@@ -4,10 +4,11 @@
 //! schedule the algorithms terminate and return structurally sound objects
 //! — matchings valid for the input graph, colorings inside their declared
 //! palette — with identical results for identical `(seed, plan)` pairs.
-//! Under a zero-fault plan the faulty transport is byte-identical to the
-//! perfect [`Network`]. Under a permanent-crash plan (live↔live delivery
-//! is perfect), the stronger promises return on the surviving subgraph:
-//! proper colorings and maximal matchings among live nodes.
+//! Under a zero-fault plan the sequential reference [`FaultyNetwork`] is
+//! byte-identical to the perfect [`ShardedNetwork`]. Under a
+//! permanent-crash plan (live↔live delivery is perfect), the stronger
+//! promises return on the surviving subgraph: proper colorings and
+//! maximal matchings among live nodes.
 //!
 //! Three standing plan shapes, as the acceptance criteria require:
 //! drop-only, drop+dup+reorder, and a crash schedule.
@@ -19,7 +20,7 @@ use sparsimatch_distsim::algorithms::matching::{bounded_degree_matching, color_s
 use sparsimatch_distsim::algorithms::solomon::distributed_solomon;
 use sparsimatch_distsim::algorithms::sparsify::distributed_sparsifier;
 use sparsimatch_distsim::{
-    FaultPlan, FaultRates, FaultStats, FaultyNetwork, Network, ResilienceParams, ShardedNetwork,
+    FaultPlan, FaultRates, FaultStats, FaultyNetwork, ResilienceParams, ShardedNetwork,
 };
 use sparsimatch_graph::csr::CsrGraph;
 use sparsimatch_graph::generators::{clique, cycle, gnp, path};
@@ -174,9 +175,9 @@ fn sparsifiers_shrink_but_never_invent_edges_under_faults() {
     let g = clique(60);
     let params = SparsifierParams::with_delta(1, 0.5, 4);
     // Fault-free reference runs.
-    let mut net0 = Network::new(&g);
+    let mut net0 = FaultyNetwork::new(&g, FaultPlan::none());
     let full_sparsifier = edge_list(&distributed_sparsifier(&mut net0, &params, 9));
-    let mut net0b = Network::new(&g);
+    let mut net0b = FaultyNetwork::new(&g, FaultPlan::none());
     let full_solomon = edge_list(&distributed_solomon(&mut net0b, 5));
 
     for (name, plan) in standing_plans(31) {
@@ -295,10 +296,11 @@ fn permanent_crashes_preserve_guarantees_on_survivors() {
 #[test]
 fn zero_fault_transport_is_byte_identical_on_full_algorithms() {
     // The whole deterministic stack — coloring, MM, augmentation — run on
-    // Network and on FaultyNetwork(none) must agree in outputs AND in
-    // every accounted quantity (satellite: congest accounting unchanged).
+    // the perfect ShardedNetwork and on FaultyNetwork(none) must agree in
+    // outputs AND in every accounted quantity (congest accounting
+    // unchanged).
     let g = test_graph(5);
-    let mut perfect = Network::new(&g);
+    let mut perfect = ShardedNetwork::new(&g, 1);
     let (m_p, stats_p) = bounded_degree_matching(&mut perfect, 0.34);
 
     let mut faulty = FaultyNetwork::new(&g, FaultPlan::none());
@@ -322,7 +324,7 @@ fn zero_fault_transport_is_byte_identical_on_full_algorithms() {
     // Randomized algorithm too: per-node RNG streams are independent of
     // the transport, so the zero-fault runs coincide exactly.
     let g2 = path(33);
-    let mut perfect2 = Network::new(&g2);
+    let mut perfect2 = ShardedNetwork::new(&g2, 1);
     let (m_p2, it_p) = israeli_itai_matching(&mut perfect2, 99);
     let mut faulty2 = FaultyNetwork::new(&g2, FaultPlan::none());
     let (m_f2, it_f) = israeli_itai_matching(&mut faulty2, 99);
@@ -427,7 +429,7 @@ fn validate_coloring_accepts_faulty_net_reference() {
     // validate_coloring is generic over the transport; a lossless faulty
     // net validates the same coloring the perfect net produced.
     let g = cycle(30);
-    let mut perfect = Network::new(&g);
+    let mut perfect = ShardedNetwork::new(&g, 1);
     let c = linial_coloring(&mut perfect, 3);
     let faulty = FaultyNetwork::new(&g, FaultPlan::none());
     assert!(validate_coloring(&faulty, &c));

@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use sparsimatch_distsim::algorithms::coloring::{linial_coloring, validate_coloring};
 use sparsimatch_distsim::algorithms::israeli_itai::israeli_itai_matching;
 use sparsimatch_distsim::algorithms::matching::bounded_degree_matching;
-use sparsimatch_distsim::{FaultPlan, FaultRates, FaultyNetwork, Network, ShardedNetwork};
+use sparsimatch_distsim::{FaultPlan, FaultRates, FaultyNetwork, Net, ShardedNetwork};
 use sparsimatch_graph::csr::from_edges;
 use sparsimatch_matching::blossom::maximum_matching;
 
@@ -20,7 +20,7 @@ proptest! {
     #[test]
     fn coloring_is_always_proper(edges in arb_edges()) {
         let g = from_edges(N, edges);
-        let mut net = Network::new(&g);
+        let mut net = ShardedNetwork::new(&g, 1);
         let target = g.max_degree() as u64 + 1;
         let c = linial_coloring(&mut net, target.max(2));
         prop_assert!(validate_coloring(&net, &c));
@@ -30,7 +30,7 @@ proptest! {
     #[test]
     fn israeli_itai_is_always_maximal(edges in arb_edges(), seed in any::<u64>()) {
         let g = from_edges(N, edges);
-        let mut net = Network::new(&g);
+        let mut net = ShardedNetwork::new(&g, 1);
         let (m, _) = israeli_itai_matching(&mut net, seed);
         prop_assert!(m.is_valid_for(&g));
         prop_assert!(m.is_maximal_in(&g));
@@ -39,7 +39,7 @@ proptest! {
     #[test]
     fn bounded_degree_matching_meets_guarantee(edges in arb_edges(), k in 1usize..4) {
         let g = from_edges(N, edges);
-        let mut net = Network::new(&g);
+        let mut net = ShardedNetwork::new(&g, 1);
         let eps = 1.0 / k as f64;
         let (m, _) = bounded_degree_matching(&mut net, eps);
         prop_assert!(m.is_valid_for(&g));
@@ -64,7 +64,7 @@ proptest! {
         let (drop, reorder) = (f64::from(drop_pct) / 100.0, f64::from(reorder_pct) / 100.0);
         let g = from_edges(N, edges);
 
-        let mut seq = Network::new(&g);
+        let mut seq = FaultyNetwork::new(&g, FaultPlan::none());
         let (m_seq, it_seq) = israeli_itai_matching(&mut seq, seed);
         let mut sharded = ShardedNetwork::new(&g, threads);
         let (m_sh, it_sh) = israeli_itai_matching(&mut sharded, seed);
@@ -97,7 +97,7 @@ proptest! {
     #[test]
     fn exchange_is_lossless_and_counted(edges in arb_edges(), payloads in proptest::collection::vec(any::<u32>(), N)) {
         let g = from_edges(N, edges);
-        let mut net = Network::new(&g);
+        let mut net = ShardedNetwork::new(&g, 1);
         // Every node broadcasts its payload; every half-edge must deliver
         // exactly once with the right value.
         let outs: Vec<(u32, u64)> = payloads.iter().map(|&p| (p, 32u64)).collect();

@@ -14,7 +14,8 @@
 
 use rand::{rngs::StdRng, SeedableRng};
 use sparsimatch::distsim::algorithms::coloring::log_star;
-use sparsimatch::distsim::algorithms::pipeline::distributed_approx_mcm;
+use sparsimatch::distsim::algorithms::pipeline::{distributed_matching, DistAlgo};
+use sparsimatch::distsim::{FaultPlan, ResilienceParams};
 use sparsimatch::prelude::*;
 
 fn main() {
@@ -22,7 +23,15 @@ fn main() {
     for n in [500usize, 2_000, 8_000] {
         let field = unit_disk(UnitDiskConfig::with_expected_degree(n, 1.0, 16.0), &mut rng);
         let params = SparsifierParams::with_delta(5, 0.5, 8);
-        let out = distributed_approx_mcm(&field, &params, 0xBEEF + n as u64);
+        let out = distributed_matching(
+            &field,
+            &params,
+            0xBEEF + n as u64,
+            DistAlgo::Approx,
+            &FaultPlan::none(),
+            ResilienceParams::off(),
+            1,
+        );
         assert!(out.matching.is_valid_for(&field));
         println!(
             "n = {:>5}: paired {:>4} sensor pairs in {:>4} rounds \

@@ -2,9 +2,21 @@
 
 use rand::{rngs::StdRng, SeedableRng};
 use sparsimatch::distsim::algorithms::pipeline::{
-    distributed_approx_mcm, distributed_maximal_baseline,
+    distributed_matching, DistAlgo, DistributedOutcome,
 };
+use sparsimatch::distsim::{FaultPlan, ResilienceParams, ShardedNetwork};
 use sparsimatch::prelude::*;
+
+/// The pipeline on a perfect network, one round worker.
+fn perfect(
+    g: &CsrGraph,
+    params: &SparsifierParams,
+    seed: u64,
+    algo: DistAlgo,
+) -> DistributedOutcome {
+    let (plan, off) = (FaultPlan::none(), ResilienceParams::off());
+    distributed_matching(g, params, seed, algo, &plan, off, 1)
+}
 
 #[test]
 fn distributed_matching_is_valid_and_accurate() {
@@ -18,7 +30,7 @@ fn distributed_matching_is_valid_and_accurate() {
         &mut rng,
     );
     let params = SparsifierParams::with_delta(2, 0.5, 8);
-    let out = distributed_approx_mcm(&g, &params, 77);
+    let out = perfect(&g, &params, 77, DistAlgo::Approx);
     assert!(out.matching.is_valid_for(&g));
     let exact = maximum_matching(&g).len();
     assert!(
@@ -41,8 +53,8 @@ fn augmented_pipeline_beats_maximal_baseline() {
         &mut rng,
     );
     let params = SparsifierParams::with_delta(5, 0.34, 10);
-    let full = distributed_approx_mcm(&g, &params, 3);
-    let base = distributed_maximal_baseline(&g, &params, 3);
+    let full = perfect(&g, &params, 3, DistAlgo::Approx);
+    let base = perfect(&g, &params, 3, DistAlgo::Maximal);
     assert!(full.matching.len() >= base.matching.len());
 }
 
@@ -53,7 +65,7 @@ fn rounds_stay_flat_as_n_grows() {
         let mut rng = StdRng::seed_from_u64(0x23 + n as u64);
         let g = unit_disk(UnitDiskConfig::with_expected_degree(n, 1.0, 12.0), &mut rng);
         let params = SparsifierParams::with_delta(5, 0.5, 6);
-        let out = distributed_approx_mcm(&g, &params, n as u64);
+        let out = perfect(&g, &params, n as u64, DistAlgo::Approx);
         rounds.push(out.metrics.rounds);
     }
     assert!(
@@ -65,7 +77,7 @@ fn rounds_stay_flat_as_n_grows() {
 #[test]
 fn message_bits_account_one_bit_sparsifier_marks() {
     let g = clique(120);
-    let mut net = sparsimatch::distsim::Network::new(&g);
+    let mut net = ShardedNetwork::new(&g, 1);
     let params = SparsifierParams::with_delta(1, 0.5, 4);
     let _ =
         sparsimatch::distsim::algorithms::sparsify::distributed_sparsifier(&mut net, &params, 5);

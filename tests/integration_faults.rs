@@ -2,18 +2,74 @@
 //! injection (ISSUE 3 tentpole). The per-algorithm chaos coverage lives
 //! in `crates/distsim/tests/chaos.rs`; this file pins the end-to-end
 //! pipeline contract: valid matchings under every standing plan,
-//! deterministic replay, zero-fault equality with the perfect-network
-//! pipeline, and the ack/retry resilience layer recovering matching size
-//! at a visible (and accounted) round cost.
+//! deterministic replay, zero-fault equality with the pipeline run over
+//! the sequential perfect-network reference, and the ack/retry
+//! resilience layer recovering matching size at a visible (and
+//! accounted) round cost.
 
 use rand::{rngs::StdRng, SeedableRng};
+use sparsimatch::core::solomon::degree_cap_for;
+use sparsimatch::distsim::algorithms::israeli_itai::israeli_itai_matching;
+use sparsimatch::distsim::algorithms::matching::{bounded_degree_matching, maximal_matching_only};
 use sparsimatch::distsim::algorithms::pipeline::{
-    distributed_approx_mcm, distributed_approx_mcm_faulty, distributed_maximal_baseline,
-    distributed_maximal_baseline_faulty, distributed_randomized_maximal,
-    distributed_randomized_maximal_faulty, DistributedOutcome,
+    distributed_matching, DistAlgo, DistributedOutcome,
 };
-use sparsimatch::distsim::{FaultPlan, FaultRates, FaultStats, ResilienceParams};
+use sparsimatch::distsim::algorithms::solomon::distributed_solomon;
+use sparsimatch::distsim::algorithms::sparsify::distributed_sparsifier;
+use sparsimatch::distsim::{
+    FaultPlan, FaultRates, FaultStats, FaultyNetwork, Metrics, ResilienceParams,
+};
 use sparsimatch::prelude::*;
+
+const ALGOS: [DistAlgo; 3] = [DistAlgo::Approx, DistAlgo::Maximal, DistAlgo::Randomized];
+
+/// The pipeline on one round worker under `plan`.
+fn run(
+    g: &CsrGraph,
+    params: &SparsifierParams,
+    seed: u64,
+    algo: DistAlgo,
+    plan: &FaultPlan,
+    resilience: ResilienceParams,
+) -> DistributedOutcome {
+    distributed_matching(g, params, seed, algo, plan, resilience, 1)
+}
+
+/// The same three phases, each on a perfect sequential reference
+/// network (`FaultyNetwork` under the empty plan).
+fn perfect_reference(
+    g: &CsrGraph,
+    params: &SparsifierParams,
+    seed: u64,
+    algo: DistAlgo,
+) -> DistributedOutcome {
+    let mut metrics = Metrics::new();
+    let mut rounds = Vec::new();
+    let mut net = FaultyNetwork::new(g, FaultPlan::none());
+    let g_delta = distributed_sparsifier(&mut net, params, seed);
+    metrics.absorb(net.metrics());
+    rounds.push(net.metrics().rounds);
+    let mut net = FaultyNetwork::new(&g_delta, FaultPlan::none());
+    let cap = degree_cap_for(params.arboricity_bound(), params.eps);
+    let composed = distributed_solomon(&mut net, cap);
+    metrics.absorb(net.metrics());
+    rounds.push(net.metrics().rounds);
+    let mut net = FaultyNetwork::new(&composed, FaultPlan::none());
+    let matching = match algo {
+        DistAlgo::Approx => bounded_degree_matching(&mut net, params.eps).0,
+        DistAlgo::Maximal => maximal_matching_only(&mut net),
+        DistAlgo::Randomized => israeli_itai_matching(&mut net, seed).0,
+    };
+    metrics.absorb(net.metrics());
+    rounds.push(net.metrics().rounds);
+    DistributedOutcome {
+        matching,
+        metrics,
+        phase_rounds: (rounds[0], rounds[1], rounds[2]),
+        composed_max_degree: composed.max_degree(),
+        faults: FaultStats::default(),
+    }
+}
 
 fn chaos_graph() -> CsrGraph {
     let mut rng = StdRng::seed_from_u64(0x5EED);
@@ -85,19 +141,12 @@ fn assert_outcomes_equal(a: &DistributedOutcome, b: &DistributedOutcome, ctx: &s
 fn pipeline_stays_valid_and_replayable_under_every_plan() {
     let g = chaos_graph();
     let params = SparsifierParams::with_delta(2, 0.5, 8);
-    type Variant =
-        fn(&CsrGraph, &SparsifierParams, u64, &FaultPlan, ResilienceParams) -> DistributedOutcome;
-    let variants: [(&str, Variant); 3] = [
-        ("approx_mcm", distributed_approx_mcm_faulty),
-        ("maximal_baseline", distributed_maximal_baseline_faulty),
-        ("randomized_maximal", distributed_randomized_maximal_faulty),
-    ];
-    for (vname, run) in variants {
+    for algo in ALGOS {
         for (pname, plan) in standing_plans(41) {
-            let ctx = format!("{vname}/{pname}");
-            let out = run(&g, &params, 7, &plan, ResilienceParams::off());
+            let ctx = format!("{algo:?}/{pname}");
+            let out = run(&g, &params, 7, algo, &plan, ResilienceParams::off());
             assert!(out.matching.is_valid_for(&g), "{ctx}: invalid matching");
-            let again = run(&g, &params, 7, &plan, ResilienceParams::off());
+            let again = run(&g, &params, 7, algo, &plan, ResilienceParams::off());
             assert_outcomes_equal(&out, &again, &ctx);
             // Faults actually happened — the plan is not a silent no-op.
             assert!(
@@ -115,25 +164,11 @@ fn zero_fault_pipeline_equals_perfect_network_exactly() {
     let plan = FaultPlan::none();
     let off = ResilienceParams::off();
 
-    let ctxs = [
-        (
-            distributed_approx_mcm(&g, &params, 7),
-            distributed_approx_mcm_faulty(&g, &params, 7, &plan, off),
-            "approx_mcm",
-        ),
-        (
-            distributed_maximal_baseline(&g, &params, 7),
-            distributed_maximal_baseline_faulty(&g, &params, 7, &plan, off),
-            "maximal_baseline",
-        ),
-        (
-            distributed_randomized_maximal(&g, &params, 7),
-            distributed_randomized_maximal_faulty(&g, &params, 7, &plan, off),
-            "randomized_maximal",
-        ),
-    ];
-    for (perfect, faulty, ctx) in &ctxs {
-        assert_outcomes_equal(perfect, faulty, ctx);
+    for algo in ALGOS {
+        let perfect = perfect_reference(&g, &params, 7, algo);
+        let faulty = run(&g, &params, 7, algo, &plan, off);
+        let ctx = format!("{algo:?}");
+        assert_outcomes_equal(&perfect, &faulty, &ctx);
         assert_eq!(faulty.faults, FaultStats::default(), "{ctx}");
     }
 }
@@ -153,11 +188,17 @@ fn resilience_recovers_matching_size_at_a_round_cost() {
     )
     .with_horizon(3);
 
-    let fragile =
-        distributed_maximal_baseline_faulty(&g, &params, 7, &plan, ResilienceParams::off());
-    let hardened =
-        distributed_maximal_baseline_faulty(&g, &params, 7, &plan, ResilienceParams::retry(3));
-    let baseline = distributed_maximal_baseline(&g, &params, 7);
+    let maximal = DistAlgo::Maximal;
+    let fragile = run(&g, &params, 7, maximal, &plan, ResilienceParams::off());
+    let hardened = run(&g, &params, 7, maximal, &plan, ResilienceParams::retry(3));
+    let baseline = run(
+        &g,
+        &params,
+        7,
+        maximal,
+        &FaultPlan::none(),
+        ResilienceParams::off(),
+    );
 
     assert!(fragile.matching.is_valid_for(&g));
     assert!(hardened.matching.is_valid_for(&g));
@@ -201,10 +242,11 @@ fn drop_rate_degrades_matching_size_monotonically_in_expectation() {
                 },
             )
             .with_horizon(2); // both one-round sparsifier phases disrupted
-            let out = distributed_maximal_baseline_faulty(
+            let out = run(
                 &g,
                 &params,
                 seed,
+                DistAlgo::Maximal,
                 &plan,
                 ResilienceParams::off(),
             );

@@ -36,12 +36,14 @@ fn sequential_pipeline_at_million_edges() {
 #[test]
 #[ignore = "scale stress: 20k-node distributed network"]
 fn distributed_pipeline_at_twenty_thousand_nodes() {
-    use sparsimatch::distsim::algorithms::pipeline::distributed_approx_mcm;
+    use sparsimatch::distsim::algorithms::pipeline::{distributed_matching, DistAlgo};
+    use sparsimatch::distsim::{FaultPlan, ResilienceParams};
     let mut rng = StdRng::seed_from_u64(0x52);
     let n = 20_000;
     let g = unit_disk(UnitDiskConfig::with_expected_degree(n, 1.0, 12.0), &mut rng);
     let params = SparsifierParams::with_delta(5, 0.5, 6);
-    let out = distributed_approx_mcm(&g, &params, 0x52);
+    let (plan, off) = (FaultPlan::none(), ResilienceParams::off());
+    let out = distributed_matching(&g, &params, 0x52, DistAlgo::Approx, &plan, off, 1);
     assert!(out.matching.is_valid_for(&g));
     // Rounds must stay in the hundreds even at this n (log* flat).
     assert!(
