@@ -152,7 +152,9 @@ impl Default for PipelineScratch {
 /// marking over an adjacency-list graph, then greedy + bounded
 /// augmentation). One lives inside each
 /// `sparsimatch_dynamic::DynamicMatcher`; fields are public because the
-/// dynamic crate drives the stages itself under its work budget.
+/// dynamic crate drives the stages itself, one budgeted slice per
+/// update, with the searcher holding the in-progress augmentation
+/// between updates.
 pub struct OracleRebuildScratch {
     /// Sampling overlay, grown to the largest degree seen so far.
     pub sampler: PosArraySampler,
@@ -160,7 +162,8 @@ pub struct OracleRebuildScratch {
     pub indices: Vec<u32>,
     /// Marked endpoint pairs accumulated across the rebuild.
     pub marks: Vec<(VertexId, VertexId)>,
-    /// Blossom searcher reused across the augmentation phases.
+    /// Blossom searcher: the rebuild's matching while it is augmented,
+    /// reused from window to window.
     pub searcher: BlossomSearcher,
 }
 

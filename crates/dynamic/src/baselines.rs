@@ -126,7 +126,9 @@ impl WindowedFullRecompute {
         &self.output
     }
 
-    /// Apply one update; returns work units (time-sliced like the scheme).
+    /// Apply one update; returns work units, with each window's full
+    /// recompute spread evenly over the window's updates (the ablation
+    /// compares totals, which the spreading leaves unchanged).
     pub fn apply(&mut self, update: Update) -> u64 {
         let mut work = 1u64;
         match update {

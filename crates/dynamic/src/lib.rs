@@ -15,7 +15,8 @@
 //! window re-use argument (Lemma 3.4) is deterministic.
 //!
 //! Modules:
-//! * [`scheme`] — the Theorem 3.5 matcher with explicit work accounting;
+//! * [`scheme`] — the Theorem 3.5 matcher, its static recompute
+//!   time-sliced across each window, with per-update work accounting;
 //! * [`adversary`] — oblivious and adaptive update streams over a β-bounded
 //!   host graph;
 //! * [`baselines`] — naive full recompute and a Barenboim–Maimon-style
@@ -28,8 +29,6 @@ pub mod baselines;
 pub mod harness;
 pub mod oblivious;
 pub mod scheme;
-pub mod sliced;
 
 pub use adversary::{Adversary, StreamAdversary, Update};
 pub use scheme::{DynamicMatcher, UpdateReport};
-pub use sliced::{SlicedComputation, WorstCaseDynamicMatcher};

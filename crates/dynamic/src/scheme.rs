@@ -1,40 +1,48 @@
 //! The Theorem 3.5 dynamic matcher.
 //!
-//! Implementation of the window scheme with explicit work accounting:
+//! The worst-case Gupta–Peng window scheme, with the static `(1+ε/4)`
+//! recompute time-sliced across each window (Lemma 3.4):
 //!
-//! * every update applies its graph mutation and (for deletions of
-//!   currently-output pairs) prunes the output matching — O(1) work;
-//! * when the window closes, the pending fresh matching (computed on the
-//!   snapshot taken at the window's start, minus edges deleted during the
-//!   window) becomes the output, a new static computation starts on a new
-//!   snapshot, and a new window of length `max(1, ⌊ε/4·|M|⌋)` opens;
-//! * the static computation's work — adjacency probes for the sparsifier,
-//!   sparsifier edges for greedy, and blossom edge-visits for the bounded
-//!   augmentation, all machine-independent unit counts — is time-sliced
-//!   evenly over the window's updates, exactly as the worst-case variant
-//!   of [Gupta–Peng] prescribes. [`UpdateReport::work`] is therefore the
-//!   realized worst-case per-update work the theorem bounds by
-//!   `O((β/ε³)·log(1/ε))`.
+//! * every update applies its graph mutation and, when it deletes a
+//!   served pair, prunes the served matching — O(1) work;
+//! * at a window boundary the finished rebuild is published, minus the
+//!   pairs deleted while it ran; a new rebuild starts by marking the
+//!   sparsifier `G_Δ` on the live adjacency lists (no copy of the graph)
+//!   and laying it out; and a new window of `max(1, ⌊ε/4·|M|⌋)` updates
+//!   opens;
+//! * every update advances the rebuild — greedy maximal matching on
+//!   `G_Δ`, then the bounded-augmentation [`AugSchedule`] — by a budget
+//!   of work units sized so the rebuild finishes within its window. A
+//!   rebuild still unfinished at the boundary runs to completion there,
+//!   so the publication schedule never slips.
+//!
+//! Work units are machine-independent: one per adjacency probe while
+//! marking, one per sparsifier edge for the layout and for greedy, and
+//! blossom half-edge visits (plus one per search) for augmentation.
+//! [`UpdateReport::work`] is the work the update actually performed: the
+//! budget plus at most one atomic quantum — the boundary's mark and
+//! layout, or one forest phase.
 
 use crate::adversary::Update;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use sparsimatch_core::params::SparsifierParams;
+use sparsimatch_core::sampler::mark_indices_for_vertex;
 use sparsimatch_core::scratch::OracleRebuildScratch;
 use sparsimatch_graph::adjacency::AdjacencyOracle;
 use sparsimatch_graph::adjlist::AdjListGraph;
-use sparsimatch_graph::csr::GraphBuilder;
-use sparsimatch_graph::ids::VertexId;
-use sparsimatch_matching::bounded_aug::{
-    eliminate_augmenting_paths_up_to_with, max_path_len_for_eps,
-};
-use sparsimatch_matching::greedy::greedy_maximal_matching;
+use sparsimatch_graph::csr::{CsrGraph, GraphBuilder};
+use sparsimatch_graph::ids::{EdgeId, VertexId};
+use sparsimatch_matching::bounded_aug::{max_path_len_for_eps, AugSchedule};
 use sparsimatch_matching::Matching;
 use sparsimatch_obs::{keys, WorkMeter};
 
 /// Per-update accounting.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct UpdateReport {
-    /// Work units charged to this update: O(1) bookkeeping plus this
-    /// update's time-slice of the background static computation.
+    /// Work units this update performed: its O(1) mutation and pruning,
+    /// its slice of the background rebuild, and at a window boundary the
+    /// publication and the next rebuild's marking and layout.
     pub work: u64,
     /// Whether the output matching was swapped at this update (window
     /// boundary).
@@ -50,6 +58,16 @@ impl UpdateReport {
         meter.add(keys::UPDATE_WORK, self.work);
         meter.record_max(keys::MAX_UPDATE_WORK, self.work);
     }
+}
+
+/// Progress of the background rebuild on the sparsifier.
+enum Rebuild {
+    /// Greedy maximal matching, scanning edge ids from `next_edge`.
+    Greedy { next_edge: usize },
+    /// Bounded augmentation, running in the scratch searcher.
+    Augment(AugSchedule),
+    /// Finished; the result is in `fresh`.
+    Done,
 }
 
 /// Fully dynamic `(1+ε)`-approximate maximum matching over a fixed vertex
@@ -73,22 +91,26 @@ pub struct DynamicMatcher {
     graph: AdjListGraph,
     params: SparsifierParams,
     output: Matching,
-    /// Fresh matching awaiting the end of the current window.
-    pending: Option<Matching>,
+    /// The sparsifier `G_Δ` the current rebuild runs on.
+    sparse: CsrGraph,
+    /// The rebuild's matching: greedy fills it, augmentation writes its
+    /// result back into it.
+    fresh: Matching,
+    rebuild: Rebuild,
+    /// Deletions since the current rebuild's sparsifier was marked,
+    /// pruned from its result at publication.
+    deletions: Vec<(VertexId, VertexId)>,
     /// Updates remaining in the current window.
     window_left: usize,
-    /// Work share charged to each update of the current window.
-    share: u64,
+    /// Rebuild work units advanced per update in the current window.
+    budget: u64,
     seed_counter: u64,
     base_seed: u64,
     /// High-water mark of any vertex degree (sizes the sampler overlay
     /// without rescanning; never shrinks, which only wastes capacity).
     max_degree_seen: usize,
-    /// Reusable buffers for the background rebuilds: the sampler overlay,
-    /// mark/index buffers, and blossom searcher persist across windows,
-    /// so steady-state rebuilds stop paying allocation churn. Only the
-    /// published `pending` matching is freshly allocated (it is handed
-    /// out at the window boundary).
+    /// Reusable buffers for the rebuilds: the sampler overlay, mark/index
+    /// buffers, and blossom searcher persist across windows.
     scratch: OracleRebuildScratch,
 }
 
@@ -100,9 +122,12 @@ impl DynamicMatcher {
             graph: AdjListGraph::new(n),
             params,
             output: Matching::new(n),
-            pending: None,
+            sparse: GraphBuilder::new(n).build(),
+            fresh: Matching::new(n),
+            rebuild: Rebuild::Done,
+            deletions: Vec::new(),
             window_left: 1,
-            share: 0,
+            budget: 0,
             seed_counter: 0,
             base_seed: seed,
             max_degree_seen: 0,
@@ -122,11 +147,10 @@ impl DynamicMatcher {
 
     /// Apply one update.
     ///
-    /// The returned [`UpdateReport`] charges this update its O(1)
-    /// mutation cost plus its time-slice of the background static
-    /// recompute; Theorem 3.5 bounds that charge by
-    /// [`work_bound`](Self::work_bound) up to this implementation's
-    /// constants, and the served matching stays valid throughout:
+    /// The returned [`UpdateReport`] charges this update the work it
+    /// performed: the budget plus at most one atomic quantum, the quantity
+    /// Theorem 3.5 bounds by [`work_bound`](Self::work_bound). The served
+    /// matching stays valid throughout:
     ///
     /// ```
     /// use sparsimatch_core::params::SparsifierParams;
@@ -153,36 +177,28 @@ impl DynamicMatcher {
             }
             Update::Delete(u, v) => {
                 self.graph.delete_edge(u, v);
-                // Prune the output and the pending matching in O(1).
                 if self.output.mate(u) == Some(v) {
                     self.output.remove_pair(u);
                     work += 1;
                 }
-                if let Some(p) = &mut self.pending {
-                    if p.mate(u) == Some(v) {
-                        p.remove_pair(u);
-                        work += 1;
-                    }
-                }
+                self.deletions.push((u, v));
             }
         }
-        work += self.share;
-        self.window_left = self.window_left.saturating_sub(1);
-        let mut swapped = false;
-        if self.window_left == 0 {
-            // Window boundary: publish the pending matching (already pruned
-            // of in-window deletions), start a fresh computation on the
-            // current graph, and size the next window.
-            if let Some(p) = self.pending.take() {
-                self.output = p;
+        work += self.advance(self.budget);
+        self.window_left -= 1;
+        let swapped = self.window_left == 0;
+        if swapped {
+            // Window boundary: finish the rebuild if its slices fell short,
+            // prune the window's deletions from it, publish it, and start
+            // the next one on the current graph.
+            work += self.advance(u64::MAX) + self.deletions.len() as u64;
+            for (u, v) in self.deletions.drain(..) {
+                if self.fresh.mate(u) == Some(v) {
+                    self.fresh.remove_pair(u);
+                }
             }
-            let static_work = self.start_background();
-            let window =
-                ((self.params.eps / 4.0) * self.output.len().max(1) as f64).floor() as usize;
-            let window = window.max(1);
-            self.window_left = window;
-            self.share = static_work.div_ceil(window as u64);
-            swapped = true;
+            std::mem::swap(&mut self.output, &mut self.fresh);
+            work += self.start_rebuild();
         }
         UpdateReport { work, swapped }
     }
@@ -195,15 +211,14 @@ impl DynamicMatcher {
         report
     }
 
-    /// Run the static `(1+ε/4)` pipeline on a snapshot of the current
-    /// graph; store the result as pending; return its measured work units.
-    fn start_background(&mut self) -> u64 {
+    /// Mark the sparsifier on the current graph with fresh randomness,
+    /// lay it out, reset the rebuild to its greedy stage, and size the
+    /// next window and its budget. Returns the work units spent.
+    fn start_rebuild(&mut self) -> u64 {
         self.seed_counter += 1;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(
+        let mut rng = StdRng::seed_from_u64(
             self.base_seed ^ self.seed_counter.wrapping_mul(0x9E3779B97F4A7C15),
         );
-        let stage_eps = self.params.eps / 4.0;
-        // Stage-ε sparsifier parameters with the caller's Δ-scaling.
         let n = self.graph.num_vertices();
         let mut work = 0u64;
 
@@ -213,8 +228,6 @@ impl DynamicMatcher {
         // turns the naive O(n·Δ) construction cost into the refined
         // O(|MCM|·β·Δ) of Observation 2.10 + Lemma 2.2 (n' ≤ (β+2)·|MCM|).
         // Work: one unit per adjacency probe (≤ mark_cap per vertex).
-        // Marking runs through the matcher's persistent scratch buffers;
-        // the overlay only ever grows to the degree high-water mark.
         self.scratch.clear();
         self.scratch
             .sampler
@@ -225,7 +238,7 @@ impl DynamicMatcher {
             if deg == 0 {
                 continue;
             }
-            sparsimatch_core::sampler::mark_indices_for_vertex(
+            mark_indices_for_vertex(
                 &self.graph,
                 v,
                 self.params.delta,
@@ -245,24 +258,58 @@ impl DynamicMatcher {
         for &(u, v) in &self.scratch.marks {
             b.add_edge(u, v);
         }
-        let sparse = b.build();
-        work += sparse.num_edges() as u64;
+        self.sparse = b.build();
+        let sparse_edges = self.sparse.num_edges() as u64;
+        work += sparse_edges;
+        self.fresh.reset(n);
+        self.rebuild = Rebuild::Greedy { next_edge: 0 };
 
-        // Greedy + bounded augmentation on the sparsifier, reusing the
-        // scratch searcher (identical output and stats to a fresh one —
-        // `reset_from` re-zeroes everything including the work counter).
-        let mut m = greedy_maximal_matching(&sparse);
-        work += sparse.num_edges() as u64;
-        let stats = eliminate_augmenting_paths_up_to_with(
-            &sparse,
-            &mut m,
-            max_path_len_for_eps(stage_eps),
-            &mut self.scratch.searcher,
-        );
-        work += stats.edge_visits;
-
-        self.pending = Some(m);
+        // The rebuild costs O(|E(G_Δ)|/ε) units: one greedy pass plus
+        // forest phases of ≤ 2·|E(G_Δ)| half-edges each at the caps up to
+        // `2⌈4/ε⌉ − 1`. Spread that over the Gupta–Peng window.
+        let window = ((self.params.eps / 4.0) * self.output.len().max(1) as f64).floor() as usize;
+        self.window_left = window.max(1);
+        let units_per_edge = 2 + (8.0 / self.params.eps) as u64;
+        self.budget = ((sparse_edges + 1) * units_per_edge).div_ceil(self.window_left as u64);
         work
+    }
+
+    /// Advance the rebuild until at least `budget` work units are spent
+    /// or it finishes; returns the units spent. Greedy runs the
+    /// edge-id-order scan of `greedy_maximal_matching`, one unit per edge;
+    /// augmentation runs whole [`AugSchedule`] quanta.
+    fn advance(&mut self, budget: u64) -> u64 {
+        let mut spent = 0u64;
+        while spent < budget {
+            match &mut self.rebuild {
+                Rebuild::Greedy { next_edge } => {
+                    let start = *next_edge;
+                    let m = self.sparse.num_edges();
+                    let end = m.min(start.saturating_add((budget - spent) as usize));
+                    for e in start..end {
+                        let (u, v) = self.sparse.edge_endpoints(EdgeId::new(e));
+                        self.fresh.add_pair(u, v); // no-op when an endpoint is taken
+                    }
+                    spent += (end - start) as u64;
+                    *next_edge = end;
+                    if end == m {
+                        self.scratch.searcher.reset_from(&self.fresh);
+                        let max_len = max_path_len_for_eps(self.params.eps / 4.0);
+                        self.rebuild = Rebuild::Augment(AugSchedule::new(max_len));
+                    }
+                }
+                Rebuild::Augment(schedule) => {
+                    spent +=
+                        schedule.advance(&self.sparse, &mut self.scratch.searcher, budget - spent);
+                    if schedule.is_done() {
+                        self.scratch.searcher.write_matching_into(&mut self.fresh);
+                        self.rebuild = Rebuild::Done;
+                    }
+                }
+                Rebuild::Done => break,
+            }
+        }
+        spent
     }
 
     /// Theory bound on the worst-case per-update work: `O(Δ/ε³)` units.
@@ -276,13 +323,12 @@ impl DynamicMatcher {
     }
 }
 
-use rand::SeedableRng;
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::adversary::Update;
     use rand::{rngs::StdRng, Rng, SeedableRng};
+    use sparsimatch_graph::generators::{clique_union, CliqueUnionConfig};
     use sparsimatch_matching::blossom::maximum_matching;
 
     fn insert(u: usize, v: usize) -> Update {
@@ -319,6 +365,39 @@ mod tests {
                 assert!(dm.matching().is_valid_for(&snapshot));
             }
         }
+
+        // A β-bounded host: insert every edge, deleting a random present
+        // edge after every seventh insert.
+        let mut rng = StdRng::seed_from_u64(3);
+        let host = clique_union(
+            CliqueUnionConfig {
+                n: 80,
+                diversity: 2,
+                clique_size: 16,
+            },
+            &mut rng,
+        );
+        let mut dm = DynamicMatcher::new(80, params, 9);
+        let mut present = Vec::new();
+        for (i, (_, u, v)) in host.edges().enumerate() {
+            dm.apply(Update::Insert(u, v));
+            present.push((u, v));
+            if i % 7 == 6 {
+                let (a, b) = present.swap_remove(rng.random_range(0..present.len()));
+                dm.apply(Update::Delete(a, b));
+            }
+            if i % 50 == 49 {
+                assert!(dm.matching().is_valid_for(&dm.graph().to_csr()), "step {i}");
+            }
+        }
+        let snapshot = dm.graph().to_csr();
+        assert!(dm.matching().is_valid_for(&snapshot));
+        let exact = maximum_matching(&snapshot).len();
+        assert!(
+            dm.matching().len() as f64 * 2.0 >= exact as f64,
+            "served {} vs exact {exact}",
+            dm.matching().len()
+        );
     }
 
     #[test]
@@ -386,6 +465,54 @@ mod tests {
             max_work <= 4 * bound,
             "max work {max_work} vs theory shape {bound}"
         );
+    }
+
+    #[test]
+    fn per_update_work_stays_near_budget() {
+        use rand::seq::SliceRandom;
+        let mut rng = StdRng::seed_from_u64(4);
+        let host = clique_union(
+            CliqueUnionConfig {
+                n: 150,
+                diversity: 2,
+                clique_size: 30,
+            },
+            &mut rng,
+        );
+        let params = SparsifierParams::practical(2, 0.5);
+        let mut dm = DynamicMatcher::new(150, params, 11);
+        // Random insertion order keeps every intermediate graph β-bounded
+        // (see `work_per_update_is_bounded_by_theory_shape`).
+        let mut edges: Vec<_> = host.edges().map(|(_, u, v)| (u, v)).collect();
+        edges.shuffle(&mut rng);
+        // One atomic quantum: the boundary's mark (≤ mark_cap + 1 probes
+        // per vertex) and layout (≤ mark_cap edges per vertex), or one
+        // forest phase (≤ 2 half-edges per sparsifier edge, plus one).
+        let quantum = (150 * (2 * params.mark_cap() + 1)) as u64;
+        for (u, v) in edges {
+            let budget = dm.budget;
+            let work = dm.apply(Update::Insert(u, v)).work;
+            assert!(
+                work <= 1 + budget + quantum,
+                "work {work} vs budget {budget} + quantum {quantum}"
+            );
+        }
+
+        // Sorted order passes through star-like, huge-β graphs, where the
+        // certification sweep's single-root searches outgrow the budget
+        // and some windows overrun. The overrun lands on the boundary
+        // update only, and stays within the check oracle's 4 × bound.
+        let mut dm = DynamicMatcher::new(150, params, 11);
+        let mut max_work = 0u64;
+        for (_, u, v) in host.edges() {
+            let budget = dm.budget;
+            let report = dm.apply(Update::Insert(u, v));
+            if !report.swapped {
+                assert!(report.work <= 1 + budget + quantum);
+            }
+            max_work = max_work.max(report.work);
+        }
+        assert!(max_work <= 4 * dm.work_bound(), "max work {max_work}");
     }
 
     #[test]

@@ -82,60 +82,127 @@ pub fn eliminate_augmenting_paths_up_to(
 /// searcher is re-initialized from `m` (so any prior state is irrelevant)
 /// and its buffers are reused instead of reallocated. Output and stats
 /// are identical to the fresh-searcher path — `reset_from` zeroes the
-/// work counter, so `edge_visits` match too.
+/// work counter, so `edge_visits` match too. This is the
+/// run-to-completion driver of [`AugSchedule`].
 pub fn eliminate_augmenting_paths_up_to_with(
     g: &CsrGraph,
     m: &mut Matching,
     max_len: usize,
     searcher: &mut BlossomSearcher,
 ) -> AugStats {
-    assert!(max_len % 2 == 1, "augmenting paths have odd length");
-    let mut stats = AugStats::default();
     searcher.reset_from(m);
-    let max_cap = max_len as u32;
-    // Bulk phase: multi-source forest phases, shortest caps first (the
-    // Hopcroft–Karp schedule). Each phase costs O(m) and flips a set of
-    // vertex-disjoint augmenting paths at once, so the bulk cost is
-    // O(phases·m) rather than one full forest search per augmentation —
-    // the difference between milliseconds and seconds on families where
-    // the sparsifier stays dense and greedy leaves many free vertices
-    // (e.g. clique-union).
-    let mut cap = 1u32;
-    loop {
-        stats.searches += 1;
-        let flips = searcher.augment_phase(g, cap);
-        if flips > 0 {
-            stats.augmentations += flips;
-        } else if cap >= max_cap {
-            break;
-        } else {
-            cap += 2;
-        }
-    }
-    // Certification sweep: the capped forest search can, in rare blossom
-    // configurations, miss a short path blocked by another tree's odd
-    // claim. Re-check every free vertex with a dedicated single-root
-    // search; loop until a full sweep is clean.
-    loop {
-        let mut progressed = false;
-        for v in 0..g.num_vertices() as u32 {
-            let v = VertexId(v);
-            if g.degree(v) == 0 || !searcher.is_free_vertex(v) {
-                continue;
-            }
-            stats.searches += 1;
-            if searcher.try_augment(g, v, max_cap) {
-                stats.augmentations += 1;
-                progressed = true;
-            }
-        }
-        if !progressed {
-            break;
-        }
-    }
-    stats.edge_visits = searcher.work();
+    let mut schedule = AugSchedule::new(max_len);
+    schedule.advance(g, searcher, u64::MAX);
     searcher.write_matching_into(m);
-    stats
+    schedule.stats()
+}
+
+/// The bounded-augmentation schedule as a resumable state machine, so a
+/// caller can run it a bounded quantum at a time (the dynamic matcher
+/// time-slices it across its update window).
+///
+/// Bulk phase: multi-source forest phases, shortest caps first (the
+/// Hopcroft–Karp schedule). Each phase costs O(m) and flips a set of
+/// vertex-disjoint augmenting paths at once, so the bulk cost is
+/// O(phases·m) rather than one full forest search per augmentation —
+/// the difference between milliseconds and seconds on families where
+/// the sparsifier stays dense and greedy leaves many free vertices
+/// (e.g. clique-union).
+///
+/// Certification sweep: the capped forest search can, in rare blossom
+/// configurations, miss a short path blocked by another tree's odd
+/// claim. Every free vertex is re-checked with a dedicated single-root
+/// search, sweep after sweep, until a full sweep is clean.
+///
+/// The searcher must be initialized (via [`BlossomSearcher::reset_from`])
+/// from the starting matching before the first [`AugSchedule::advance`],
+/// and the graph must stay the same across calls.
+#[derive(Clone, Copy, Debug)]
+pub struct AugSchedule {
+    cap: u32,
+    max_cap: u32,
+    /// Next root of the current certification sweep; `None` during the
+    /// bulk phases.
+    certify: Option<u32>,
+    /// Whether the current certification sweep augmented.
+    progressed: bool,
+    done: bool,
+    stats: AugStats,
+}
+
+impl AugSchedule {
+    /// A schedule eliminating augmenting paths of length ≤ `max_len`
+    /// (odd).
+    pub fn new(max_len: usize) -> Self {
+        assert!(max_len % 2 == 1, "augmenting paths have odd length");
+        AugSchedule {
+            cap: 1,
+            max_cap: max_len as u32,
+            certify: None,
+            progressed: false,
+            done: false,
+            stats: AugStats::default(),
+        }
+    }
+
+    /// Whether the schedule has certified its guarantee.
+    pub fn is_done(&self) -> bool {
+        self.done
+    }
+
+    /// Statistics so far (final once [`AugSchedule::is_done`]).
+    pub fn stats(&self) -> AugStats {
+        self.stats
+    }
+
+    /// Run whole quanta — one forest phase or one single-root search,
+    /// each charged its half-edge visits plus one — until at least
+    /// `budget` units are spent or the schedule finishes. Returns the
+    /// units spent, which exceed `budget` by less than one quantum.
+    pub fn advance(&mut self, g: &CsrGraph, searcher: &mut BlossomSearcher, budget: u64) -> u64 {
+        let mut spent = 0u64;
+        while !self.done && spent < budget {
+            let before = searcher.work();
+            match self.certify {
+                None => {
+                    self.stats.searches += 1;
+                    let flips = searcher.augment_phase(g, self.cap);
+                    if flips > 0 {
+                        self.stats.augmentations += flips;
+                    } else if self.cap >= self.max_cap {
+                        self.certify = Some(0);
+                    } else {
+                        self.cap += 2;
+                    }
+                }
+                Some(cursor) => {
+                    let n = g.num_vertices() as u32;
+                    let root = (cursor..n).find(|&v| {
+                        g.degree(VertexId(v)) > 0 && searcher.is_free_vertex(VertexId(v))
+                    });
+                    match root {
+                        Some(v) => {
+                            self.stats.searches += 1;
+                            if searcher.try_augment(g, VertexId(v), self.max_cap) {
+                                self.stats.augmentations += 1;
+                                self.progressed = true;
+                            }
+                            self.certify = Some(v + 1);
+                        }
+                        None if self.progressed => {
+                            self.progressed = false;
+                            self.certify = Some(0);
+                        }
+                        None => self.done = true,
+                    }
+                }
+            }
+            let visits = searcher.work() - before;
+            self.stats.edge_visits += visits;
+            spent += visits + 1;
+        }
+        spent
+    }
 }
 
 #[cfg(test)]
@@ -250,6 +317,41 @@ mod tests {
         let (m, stats) = approx_maximum_matching_from(&g, init, 0.5);
         assert!(stats.searches > 0);
         assert!(stats.augmentations >= m.len());
+    }
+
+    #[test]
+    fn sliced_schedule_equals_run_to_completion() {
+        use crate::blossom::BlossomSearcher;
+        let mut rng = StdRng::seed_from_u64(25);
+        let graphs = [
+            gnp(80, 0.07, &mut rng),
+            clique_union(
+                CliqueUnionConfig {
+                    n: 60,
+                    diversity: 2,
+                    clique_size: 12,
+                },
+                &mut rng,
+            ),
+            cycle(31),
+        ];
+        for (i, g) in graphs.iter().enumerate() {
+            let mut whole = greedy_maximal_matching(g);
+            let mut sliced = Matching::new(0);
+            let whole_stats = eliminate_augmenting_paths_up_to(g, &mut whole, 7);
+            let mut searcher = BlossomSearcher::new(&greedy_maximal_matching(g));
+            let mut schedule = AugSchedule::new(7);
+            let mut slices = 0;
+            while !schedule.is_done() {
+                // Each slice overshoots its budget by less than one quantum.
+                assert!(schedule.advance(g, &mut searcher, 5) <= 5 + 2 * g.num_edges() as u64 + 1);
+                slices += 1;
+            }
+            searcher.write_matching_into(&mut sliced);
+            assert_eq!(whole, sliced, "graph {i}");
+            assert_eq!(whole_stats, schedule.stats(), "graph {i}");
+            assert!(slices > 1, "graph {i}: budget 5 must slice the schedule");
+        }
     }
 
     #[test]

@@ -45,9 +45,11 @@ pub mod keys {
     pub const MESSAGES_CLONED: &str = "distsim.messages_cloned";
     /// Dynamic-scheme updates applied.
     pub const UPDATES: &str = "dynamic.updates";
-    /// Work units spent across dynamic updates.
+    /// Work units the dynamic updates performed, including their slices
+    /// of the time-sliced rebuild.
     pub const UPDATE_WORK: &str = "dynamic.work";
-    /// Worst single-update work (a maximum, not a sum).
+    /// Most work any single dynamic update performed (a maximum, not a
+    /// sum).
     pub const MAX_UPDATE_WORK: &str = "dynamic.max_update_work";
     /// Edges consumed from a stream.
     pub const EDGES_SEEN: &str = "stream.edges_seen";

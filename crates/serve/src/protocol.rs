@@ -220,7 +220,10 @@ pub enum Request {
     /// Apply edge insertions/deletions through the Thm 3.5 dynamic
     /// scheme. `beta`/`eps`/`seed` configure the dynamic matcher when
     /// this session's first `update` creates it; later updates ignore
-    /// them.
+    /// them. The reply carries `applied`, the served `matching_size`,
+    /// `work` — the work units the matcher actually performed for these
+    /// ops, including their slices of the time-sliced rebuild — and
+    /// `window_swaps`, the window boundaries they crossed.
     Update {
         /// The operations, applied in order.
         ops: Vec<UpdateOp>,
