@@ -128,6 +128,8 @@ pub struct AugSchedule {
     progressed: bool,
     done: bool,
     stats: AugStats,
+    /// Units spent in certification sweeps.
+    certify_work: u64,
 }
 
 impl AugSchedule {
@@ -142,6 +144,7 @@ impl AugSchedule {
             progressed: false,
             done: false,
             stats: AugStats::default(),
+            certify_work: 0,
         }
     }
 
@@ -155,6 +158,13 @@ impl AugSchedule {
         self.stats
     }
 
+    /// The units of [`AugSchedule::advance`] spent so far in certification
+    /// sweeps. Unlike the bulk phases, whose count the cap schedule
+    /// bounds, a sweep costs one search per vertex left free.
+    pub fn certification_work(&self) -> u64 {
+        self.certify_work
+    }
+
     /// Run whole quanta — one forest phase or one single-root search,
     /// each charged its half-edge visits plus one — until at least
     /// `budget` units are spent or the schedule finishes. Returns the
@@ -163,6 +173,7 @@ impl AugSchedule {
         let mut spent = 0u64;
         while !self.done && spent < budget {
             let before = searcher.work();
+            let certifying = self.certify.is_some();
             match self.certify {
                 None => {
                     self.stats.searches += 1;
@@ -200,6 +211,9 @@ impl AugSchedule {
             let visits = searcher.work() - before;
             self.stats.edge_visits += visits;
             spent += visits + 1;
+            if certifying {
+                self.certify_work += visits + 1;
+            }
         }
         spent
     }

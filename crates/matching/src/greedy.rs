@@ -11,6 +11,7 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 use sparsimatch_graph::csr::CsrGraph;
 use sparsimatch_graph::ids::EdgeId;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Greedy maximal matching in edge-id order. O(m).
@@ -26,10 +27,20 @@ pub fn greedy_maximal_matching(g: &CsrGraph) -> Matching {
 /// match stage — allocation-free once `out` has capacity.
 pub fn greedy_maximal_matching_into(g: &CsrGraph, out: &mut Matching) {
     out.reset(g.num_vertices());
-    for (_, u, v) in g.edges() {
+    greedy_edges_into(g, out, 0..g.num_edges());
+    debug_assert!(out.is_maximal_in(g));
+}
+
+/// The edge-id-order greedy scan over the edge ids in `edges`: each edge
+/// joins `out` when both its endpoints are free there. Scanning
+/// consecutive ranges that cover `0..m`, starting from an empty `out`,
+/// gives exactly [`greedy_maximal_matching`] — the resumable form the
+/// dynamic matcher time-slices.
+pub fn greedy_edges_into(g: &CsrGraph, out: &mut Matching, edges: Range<usize>) {
+    for e in edges {
+        let (u, v) = g.edge_endpoints(EdgeId::new(e));
         out.add_pair(u, v); // no-op when an endpoint is taken
     }
-    debug_assert!(out.is_maximal_in(g));
 }
 
 /// Below this many edges the parallel greedy takes the sequential path.
