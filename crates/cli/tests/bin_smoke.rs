@@ -396,6 +396,73 @@ fn match_metrics_counters_are_pinned_per_backend() {
     }
 }
 
+/// `sparsify` stdout (the `G_Δ` edge list) and its `meter.counters`,
+/// pinned at `--threads` 1, 2 and 4: an FNV-1a hash plus the line count
+/// of stdout, and the counters key for key. The input's `G_Δ` is above
+/// the parallel-extraction cutoff, so t > 1 runs the parallel mark and
+/// layout.
+#[test]
+fn sparsify_stdout_and_counters_are_pinned_per_thread_count() {
+    const STDOUT: (u64, usize) = (2212288198467228330, 22954);
+    const COUNTERS: &str = "adjacency.degree_probes=1600 adjacency.neighbor_probes=24000 \
+        sampler.overlay_writes=24000 sampler.rng_draws=24000 sparsifier.edges=22953";
+
+    let dir = std::env::temp_dir().join(format!("sparsimatch-bin-sparsify-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("sparsify.el");
+    let metrics = dir.join("sparsify.json");
+    let out = bin()
+        .args([
+            "generate",
+            "clique-union:2:200",
+            "--n",
+            "800",
+            "--out",
+            file.to_str().unwrap(),
+        ])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{out:?}");
+
+    for threads in ["1", "2", "4"] {
+        let out = bin()
+            .args(["sparsify", file.to_str().unwrap()])
+            .args(["--beta", "2", "--eps", "0.3", "--seed", "7"])
+            .args(["--threads", threads])
+            .args(["--metrics-json", metrics.to_str().unwrap()])
+            .env_remove("SPARSIMATCH_METRICS_TIMINGS")
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{out:?}");
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for &byte in &out.stdout {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        let lines = out.stdout.iter().filter(|&&b| b == b'\n').count();
+        assert_eq!((hash, lines), STDOUT, "stdout at --threads {threads}");
+
+        let text = std::fs::read_to_string(&metrics).unwrap();
+        let doc = sparsimatch_obs::Json::parse(&text).unwrap();
+        let Some(sparsimatch_obs::Json::Object(members)) =
+            doc.get("meter").unwrap().get("counters")
+        else {
+            panic!("meter.counters is not an object: {text}");
+        };
+        let counters = members
+            .iter()
+            .filter(|(k, _)| !k.starts_with("alloc."))
+            .map(|(k, v)| format!("{k}={}", v.as_u64().unwrap()))
+            .collect::<Vec<_>>()
+            .join(" ");
+        assert_eq!(counters, COUNTERS, "counters at --threads {threads}");
+    }
+
+    for p in [&file, &metrics] {
+        std::fs::remove_file(p).ok();
+    }
+}
+
 #[test]
 fn backend_parameter_bounds_exit_seven() {
     let dir = std::env::temp_dir().join(format!("sparsimatch-bin-bparam-{}", std::process::id()));

@@ -85,6 +85,36 @@ fn warm_scratch_repeat_solves_allocate_nothing() {
     }
 }
 
+/// A t = 2 solve whose input, marked edges and sparsifier all sit below
+/// the parallel cutoffs runs every stage on one worker, so its warm
+/// repeats must be as allocation-free as t = 1 — the extract stage
+/// included.
+#[test]
+fn warm_two_thread_solve_below_every_cutoff_allocates_nothing() {
+    let g = clique(300);
+    let backend = Backend::Delta(SparsifierParams::practical(1, 0.3));
+    let mut scratch = PipelineScratch::new();
+    let cold = backend
+        .solve(&g, 7, 1, None, &mut PipelineScratch::new())
+        .unwrap()
+        .clone();
+    backend.solve(&g, 7, 2, None, &mut scratch).unwrap();
+    for rep in 0..3 {
+        let before = alloc::thread_totals();
+        let warm = backend.solve(&g, 7, 2, None, &mut scratch).unwrap();
+        let after = alloc::thread_totals();
+        let identical = warm.matching == cold.matching;
+        assert_eq!(
+            (after.count, after.bytes),
+            (before.count, before.bytes),
+            "rep {rep}: warm t = 2 call allocated ({} bytes in {} calls)",
+            after.bytes - before.bytes,
+            after.count - before.count,
+        );
+        assert!(identical, "rep {rep}: t = 2 output diverged from t = 1");
+    }
+}
+
 #[test]
 fn allocator_counters_are_live() {
     // Guard against a silently uninstalled allocator: an explicit boxed

@@ -1,9 +1,12 @@
 //! Pins the dynamic matcher's served trajectory: for three fixed update
 //! streams (oblivious and adaptive, with deletions, on clique-union hosts)
 //! an FNV-1a hash folded over the served mate array after every update,
-//! plus the number of window swaps. Any change to which matching is
-//! served, or when it is published, moves these values; the per-update
-//! work figures are deliberately not part of the pin.
+//! plus the number of window swaps, and a second FNV-1a hash folded over
+//! every update's realized [`UpdateReport::work`]. Any change to which
+//! matching is served, when it is published, or how much work each
+//! update performs moves these values.
+//!
+//! [`UpdateReport::work`]: sparsimatch_dynamic::scheme::UpdateReport::work
 
 use rand::{rngs::StdRng, SeedableRng};
 use sparsimatch_core::params::SparsifierParams;
@@ -24,8 +27,9 @@ struct Stream {
     updates: usize,
 }
 
-/// `(mate-array hash over every update, swap count, final matching size)`.
-fn trajectory(s: &Stream) -> (u64, u64, usize) {
+/// `(mate-array hash over every update, swap count, final matching size,
+/// hash of every update's work)`.
+fn trajectory(s: &Stream) -> (u64, u64, usize, u64) {
     let mut rng = StdRng::seed_from_u64(s.seed);
     let host = clique_union(s.host, &mut rng);
     let n = host.num_vertices();
@@ -37,9 +41,15 @@ fn trajectory(s: &Stream) -> (u64, u64, usize) {
     let mut adversary = StreamAdversary::new(&host, s.policy);
     let mut hash = FNV_OFFSET;
     let mut swaps = 0u64;
+    let mut work_hash = FNV_OFFSET;
     for _ in 0..s.updates {
         let update = adversary.next(dm.matching(), &mut rng);
-        swaps += u64::from(dm.apply(update).swapped);
+        let report = dm.apply(update);
+        swaps += u64::from(report.swapped);
+        for byte in report.work.to_le_bytes() {
+            work_hash ^= u64::from(byte);
+            work_hash = work_hash.wrapping_mul(FNV_PRIME);
+        }
         for v in 0..n {
             let mate = dm
                 .matching()
@@ -51,7 +61,7 @@ fn trajectory(s: &Stream) -> (u64, u64, usize) {
             }
         }
     }
-    (hash, swaps, dm.matching().len())
+    (hash, swaps, dm.matching().len(), work_hash)
 }
 
 #[test]
@@ -68,7 +78,10 @@ fn oblivious_stream_trajectory_is_pinned() {
         seed: 1,
         updates: 3000,
     };
-    assert_eq!(trajectory(&s), (5274735688968930455, 652, 58));
+    assert_eq!(
+        trajectory(&s),
+        (5274735688968930455, 652, 58, 16868352032448768881)
+    );
 }
 
 #[test]
@@ -85,7 +98,10 @@ fn adaptive_stream_trajectory_is_pinned() {
         seed: 2,
         updates: 3000,
     };
-    assert_eq!(trajectory(&s), (18330161260435785043, 850, 95));
+    assert_eq!(
+        trajectory(&s),
+        (18330161260435785043, 850, 95, 8764385424245268681)
+    );
 }
 
 #[test]
@@ -102,5 +118,8 @@ fn adaptive_churn_trajectory_is_pinned() {
         seed: 3,
         updates: 3000,
     };
-    assert_eq!(trajectory(&s), (8022892710368342123, 461, 38));
+    assert_eq!(
+        trajectory(&s),
+        (8022892710368342123, 461, 38, 5045565942915522601)
+    );
 }
