@@ -34,24 +34,17 @@
 
 use crate::edcs::{build_edcs, build_edcs_streamed, mark_edcs_into, EdcsParams};
 use crate::params::SparsifierParams;
-use crate::pipeline::{approx_mcm_on_sparsifier, stage_eps, stage_params, PipelineResult};
+use crate::pipeline::{match_stage, stage_eps, stage_params, PipelineResult};
 use crate::scratch::PipelineScratch;
-use crate::sparsifier::{
-    build_sparsifier_parallel, mark_edges_parallel, mark_edges_sequential_into, ThreadCountError,
-    MAX_THREADS,
-};
+use crate::sparsifier::{build_sparsifier_parallel, mark_edges, ThreadCountError, MAX_THREADS};
 use crate::stream_build::{
     build_sparsifier_streamed, RetryPolicy, StreamBuildError, StreamBuildReport,
 };
 use sparsimatch_graph::adjacency::ProbeCounts;
-use sparsimatch_graph::csr::{from_marked_edges, CsrGraph};
+use sparsimatch_graph::csr::{CsrGraph, PARALLEL_LAYOUT_CUTOFF};
 use sparsimatch_graph::edge_stream::EdgeStreamSource;
-use sparsimatch_matching::bounded_aug::{
-    eliminate_augmenting_paths_up_to_with, max_path_len_for_eps,
-};
-use sparsimatch_matching::greedy::{
-    greedy_maximal_matching_into, greedy_maximal_matching_parallel,
-};
+use sparsimatch_matching::blossom::BlossomSearcher;
+use sparsimatch_matching::Matching;
 use sparsimatch_obs::{keys, WorkMeter};
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -60,6 +53,12 @@ use std::time::Instant;
 /// thread count and runs sequentially: worker spawn plus shard merge
 /// overhead exceeds the marking work itself.
 const MARK_PARALLEL_CUTOFF: usize = 1 << 17;
+
+/// Below this many *marked* edges the extract stage runs sequentially —
+/// the cutoff [`CsrScratch::rebuild_from_marked`] applies itself.
+///
+/// [`CsrScratch::rebuild_from_marked`]: sparsimatch_graph::csr::CsrScratch::rebuild_from_marked
+const EXTRACT_PARALLEL_CUTOFF: usize = PARALLEL_LAYOUT_CUTOFF;
 
 /// Below this many *sparsifier* edges the match stage runs sequentially.
 /// The committed bench baseline showed the parallel greedy's local-minima
@@ -81,7 +80,8 @@ fn host_has_parallelism() -> bool {
     })
 }
 
-/// Adaptive dispatch: the worker count a stage should actually use for
+/// Adaptive dispatch, the one place every stage of [`Backend::solve`]
+/// picks its worker count: the count a stage should actually use for
 /// `work_items` units of work, given the caller asked for `requested`
 /// threads. Every stage is thread-count invariant, so falling back to one
 /// worker never changes the output — only the wall clock.
@@ -278,8 +278,8 @@ impl Backend {
         meter: Option<&mut WorkMeter>,
         scratch: &'s mut PipelineScratch,
     ) -> Result<&'s PipelineResult, ThreadCountError> {
-        // The sequential fallbacks below bypass `mark_edges_parallel`'s
-        // validation, so reject bad thread counts up front.
+        // Reject bad thread counts up front: the stages below only ever
+        // see validated worker counts.
         if threads == 0 || threads > MAX_THREADS {
             return Err(ThreadCountError { requested: threads });
         }
@@ -287,7 +287,6 @@ impl Backend {
         let PipelineScratch {
             sampler,
             indices,
-            keep,
             ids,
             csr,
             searcher,
@@ -303,30 +302,19 @@ impl Backend {
         let mark_start = Instant::now();
         let (threads, sampler_work) = match self {
             Backend::Delta(params) => {
-                let stage = stage_params(params);
-                // Small inputs take the sequential in-place path (same
-                // marks — per-vertex RNG streams don't care who draws).
-                let (stats, rng_draws, overlay_writes) =
-                    if stage_threads(threads, g.num_edges(), MARK_PARALLEL_CUTOFF) == 1 {
-                        let summary = mark_edges_sequential_into(
-                            g, &stage, seed, sampler, indices, keep, ids,
-                        );
-                        (summary.stats, summary.rng_draws, summary.overlay_writes)
-                    } else {
-                        let marks = mark_edges_parallel(g, &stage, seed, threads)?;
-                        *ids = marks.ids;
-                        (marks.stats, marks.rng_draws, marks.overlay_writes)
-                    };
-                result.sparsifier = stats;
-                // The CSR fast path reads the graph directly, so probes
-                // are accounted analytically: two degree reads per vertex
-                // (the low-degree check and the one inside the sampler)
-                // and one adjacency-entry read per mark.
-                result.probes = ProbeCounts {
-                    degree_probes: 2 * g.num_vertices() as u64,
-                    neighbor_probes: stats.marks_placed as u64,
-                };
-                (threads, Some((rng_draws, overlay_writes)))
+                let workers = stage_threads(threads, g.num_edges(), MARK_PARALLEL_CUTOFF);
+                let marks = mark_edges(
+                    g,
+                    &stage_params(params),
+                    seed,
+                    workers,
+                    sampler,
+                    indices,
+                    ids,
+                );
+                result.sparsifier = marks.stats;
+                result.probes = marks.probes(g.num_vertices());
+                (threads, Some((marks.rng_draws, marks.overlay_writes)))
             }
             Backend::Edcs { params, .. } => {
                 let stats = mark_edcs_into(g, params, edcs_in, edcs_deg, ids);
@@ -343,32 +331,21 @@ impl Backend {
         let mark_nanos = mark_start.elapsed().as_nanos();
 
         // Stage 2: extract the sparsifier CSR (byte-identical to the
-        // sequential layout for any thread count). The in-place rebuild
-        // *is* the sequential layout; the parallel builder is only worth
-        // spawning when the host can actually run the workers.
+        // sequential layout for any worker count).
         let extract_start = Instant::now();
-        let sparse: &CsrGraph = if !host_has_parallelism() || threads == 1 {
-            csr.rebuild_from_marked(g, ids)
-        } else {
-            csr.replace(from_marked_edges(g, ids, threads))
-        };
+        let workers = stage_threads(threads, ids.len(), EXTRACT_PARALLEL_CUTOFF);
+        let sparse: &CsrGraph = csr.rebuild_from_marked(g, ids, workers);
         result.sparsifier.edges = sparse.num_edges();
         let extract_nanos = extract_start.elapsed().as_nanos();
 
         // Stage 3: greedy init + bounded augmentation on the sparsifier.
-        // The parallel greedy computes the lexicographically-first
-        // maximal matching — exactly the sequential scan's output — so
-        // the dispatch only picks the cheaper route for the extracted size.
         let match_start = Instant::now();
-        if stage_threads(threads, sparse.num_edges(), MATCH_PARALLEL_CUTOFF) == 1 {
-            greedy_maximal_matching_into(sparse, &mut result.matching);
-        } else {
-            result.matching = greedy_maximal_matching_parallel(sparse, threads);
-        }
-        result.aug = eliminate_augmenting_paths_up_to_with(
+        let workers = stage_threads(threads, sparse.num_edges(), MATCH_PARALLEL_CUTOFF);
+        result.aug = match_stage(
             sparse,
+            self.match_eps(),
+            workers,
             &mut result.matching,
-            max_path_len_for_eps(self.match_eps()),
             searcher,
         );
         let match_nanos = match_start.elapsed().as_nanos();
@@ -428,7 +405,9 @@ impl Backend {
                 (h, stats.as_sparsifier_stats(params), report)
             }
         };
-        let (matching, aug) = approx_mcm_on_sparsifier(&h, self.match_eps());
+        let mut matching = Matching::new(0);
+        let mut searcher = BlossomSearcher::new(&matching);
+        let aug = match_stage(&h, self.match_eps(), 1, &mut matching, &mut searcher);
         Ok((
             PipelineResult {
                 matching,

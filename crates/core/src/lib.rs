@@ -14,28 +14,32 @@
 //!   scalings; the validity window `β = O(εn/log n)`.
 //! * [`sampler`] — Δ-out-of-deg sampling without replacement over
 //!   *read-only* adjacency arrays in deterministic O(Δ) time per vertex,
-//!   via the `pos_v` sparse-array emulation of Section 3.1.
+//!   via the `pos_v` sparse-array emulation of Section 3.1; the
+//!   per-vertex marking rule and the per-vertex RNG derivation.
 //! * [`sparsifier`] — the `G_Δ` construction with size/arboricity
-//!   accounting (Observations 2.10 and 2.12).
+//!   accounting (Observations 2.10 and 2.12): one marking kernel per
+//!   randomness model — per-vertex seeded streams (run inline or once per
+//!   worker) and one shared RNG stream over any adjacency oracle.
 //! * [`solomon`] — Solomon's ITCS'18 bounded-degree sparsifier for
 //!   bounded-arboricity graphs (deterministic, mutual marking).
 //! * [`composed`] — the two-round composition `G̃_Δ` of Section 3.2:
 //!   bounded-β graph → low-arboricity `G_Δ` → bounded-degree `G̃_Δ`.
 //! * [`pipeline`] — Theorem 3.1's shared pieces: the result type, the
-//!   stage-ε split, and the match stage on a pre-built sparsifier.
+//!   stage-ε split, and the one match stage every solve runs.
 //! * [`stream_build`] — the same construction out of core: two passes
 //!   over a lex-sorted edge stream build a byte-identical `G_Δ` in
 //!   `O(n + |E(G_Δ)|)` resident memory, never materializing `G`.
 //! * [`scratch`] — reusable scratch arenas giving the repeat-solve paths
-//!   (dynamic rebuilds, check sweeps, benchmark loops) a zero-allocation
-//!   steady state.
+//!   (dynamic rebuilds, check sweeps, benchmark loops, serve sessions) a
+//!   zero-allocation steady state.
 //! * [`lower_bounds`] — the paper's negative results as executable
 //!   instances: deterministic marking fails (Lemma 2.13) and exact
 //!   preservation fails (Observation 2.14).
 //! * [`backend`] — Theorem 3.1 end-to-end: the [`Backend`] enum runs
 //!   mark → extract → match in memory ([`Backend::solve`]) or from an
 //!   edge stream ([`Backend::solve_streamed`]), in time sublinear in
-//!   `|E(G)|` for the `G_Δ` (`delta`) backend.
+//!   `|E(G)|` for the `G_Δ` (`delta`) backend; one helper picks every
+//!   stage's worker count.
 //! * [`edcs`] — the Assadi–Bernstein edge-degree constrained subgraph
 //!   (arXiv:1811.02009), the second backend's sparsifier: deterministic,
 //!   smaller for comparable degree budgets, `3/2 + O(λ)` ratio floor.
@@ -58,8 +62,8 @@ pub use params::SparsifierParams;
 pub use pipeline::PipelineResult;
 pub use scratch::{OracleRebuildScratch, PipelineScratch};
 pub use sparsifier::{
-    build_sparsifier, build_sparsifier_metered, build_sparsifier_parallel,
-    build_sparsifier_parallel_metered, Sparsifier, SparsifierStats, ThreadCountError, MAX_THREADS,
+    build_sparsifier, build_sparsifier_parallel, build_sparsifier_parallel_metered, Sparsifier,
+    SparsifierStats, ThreadCountError, MAX_THREADS,
 };
 pub use stream_build::{
     build_sparsifier_streamed, RetryPolicy, StreamBuildError, StreamBuildReport,

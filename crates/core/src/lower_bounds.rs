@@ -377,32 +377,7 @@ pub fn bridge_experiment(
 /// Section 2's plain construction: each vertex marks exactly
 /// `min(Δ, deg)` uniform incident edges (low-degree threshold Δ, not 2Δ).
 pub fn build_plain_sparsifier(g: &CsrGraph, delta: usize, rng: &mut impl Rng) -> CsrGraph {
-    let params = SparsifierParams {
-        beta: 1,
-        eps: 0.5,
-        delta,
-    };
-    // Reuse the sampler with mark_cap = delta by calling the internal
-    // marking path directly.
-    let mut sampler = crate::sampler::PosArraySampler::new(g.max_degree());
-    let mut indices = Vec::new();
-    let mut keep = Vec::new();
-    for v in 0..g.num_vertices() {
-        let v = VertexId::new(v);
-        crate::sampler::mark_indices_for_vertex(
-            g,
-            v,
-            params.delta,
-            params.delta, // cap = Δ: the Section 2 construction
-            &mut sampler,
-            rng,
-            &mut indices,
-        );
-        for &i in &indices {
-            keep.push(g.incident_edge(v, i as usize));
-        }
-    }
-    g.edge_subgraph(keep.into_iter())
+    crate::sparsifier::build_shared_rng(g, delta, delta, rng).graph
 }
 
 #[cfg(test)]

@@ -14,14 +14,19 @@
 //! (in memory) and
 //! [`Backend::solve_streamed`](crate::backend::Backend::solve_streamed)
 //! (out of core); this module holds what they share: the result type,
-//! the stage-ε split, and the match stage on a pre-built sparsifier.
+//! the stage-ε split, and the match stage ([`match_stage`]).
 
 use crate::params::SparsifierParams;
 use crate::sparsifier::SparsifierStats;
 use sparsimatch_graph::adjacency::ProbeCounts;
 use sparsimatch_graph::csr::CsrGraph;
-use sparsimatch_matching::bounded_aug::{approx_maximum_matching_from, AugStats};
-use sparsimatch_matching::greedy::greedy_maximal_matching;
+use sparsimatch_matching::blossom::BlossomSearcher;
+use sparsimatch_matching::bounded_aug::{
+    eliminate_augmenting_paths_up_to_with, max_path_len_for_eps, AugStats,
+};
+use sparsimatch_matching::greedy::{
+    greedy_maximal_matching_into, greedy_maximal_matching_parallel,
+};
 use sparsimatch_matching::Matching;
 
 /// Everything the pipeline measured while running.
@@ -55,11 +60,25 @@ pub fn stage_params(params: &SparsifierParams) -> SparsifierParams {
     SparsifierParams::scaled(params.beta, eps_stage, scale.max(1e-9))
 }
 
-/// The same pipeline on a pre-built sparsifier (used by the dynamic
-/// scheme, which rebuilds the sparsifier itself under a work budget).
-pub fn approx_mcm_on_sparsifier(sparse: &CsrGraph, eps: f64) -> (Matching, AugStats) {
-    let init = greedy_maximal_matching(sparse);
-    approx_maximum_matching_from(sparse, init, eps)
+/// Stage 3 (match) on a built sparsifier, into caller-owned buffers:
+/// greedy maximal matching on `workers` threads, then bounded
+/// augmentation at `eps`. The parallel greedy computes the
+/// lexicographically-first maximal matching — exactly the sequential
+/// scan's output — so `workers` changes only the wall clock; one worker
+/// with warm buffers allocates nothing.
+pub fn match_stage(
+    sparse: &CsrGraph,
+    eps: f64,
+    workers: usize,
+    matching: &mut Matching,
+    searcher: &mut BlossomSearcher,
+) -> AugStats {
+    if workers == 1 {
+        greedy_maximal_matching_into(sparse, matching);
+    } else {
+        *matching = greedy_maximal_matching_parallel(sparse, workers);
+    }
+    eliminate_augmenting_paths_up_to_with(sparse, matching, max_path_len_for_eps(eps), searcher)
 }
 
 #[cfg(test)]

@@ -16,9 +16,8 @@
 //! between vertices, so the whole sparsifier is sampled with a single
 //! allocation of size `max_degree`.
 
-use rand::Rng;
-use sparsimatch_graph::adjacency::AdjacencyOracle;
-use sparsimatch_graph::ids::VertexId;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use sparsimatch_graph::sparse_array::SparseArray;
 use sparsimatch_obs::{keys, WorkMeter};
 
@@ -103,6 +102,22 @@ impl PosArraySampler {
         }
     }
 
+    /// The per-vertex mark set of the Section 3.1 construction for a
+    /// vertex of degree `deg`: all of `0..deg` when `deg ≤ mark_cap`,
+    /// otherwise `delta` uniform indices. Returns adjacency-array
+    /// *indices* (resolve through the oracle to get neighbors/edges).
+    pub fn mark_indices(
+        &mut self,
+        deg: usize,
+        delta: usize,
+        mark_cap: usize,
+        rng: &mut impl Rng,
+        out: &mut Vec<u32>,
+    ) {
+        let k = if deg <= mark_cap { deg } else { delta };
+        self.sample_indices(deg, k, rng, out);
+    }
+
     #[inline]
     fn resolve(&self, i: u32) -> u32 {
         let v = *self.pos.get(i as usize);
@@ -114,32 +129,17 @@ impl PosArraySampler {
     }
 }
 
-/// The per-vertex mark set of the Section 3.1 construction: all incident
-/// edges when `deg(v) ≤ mark_cap`, otherwise `delta` uniform ones.
-/// Returns adjacency-array *indices* (resolve through the oracle to get
-/// neighbors/edges).
-pub fn mark_indices_for_vertex(
-    g: &impl AdjacencyOracle,
-    v: VertexId,
-    delta: usize,
-    mark_cap: usize,
-    sampler: &mut PosArraySampler,
-    rng: &mut impl Rng,
-    out: &mut Vec<u32>,
-) {
-    let deg = g.degree(v);
-    if deg <= mark_cap {
-        out.clear();
-        out.extend(0..deg as u32);
-    } else {
-        sampler.sample_indices(deg, delta, rng, out);
-    }
+/// The per-vertex RNG stream of the seeded marking model: vertex `v`
+/// draws from its own generator seeded `seed ^ (v·0x9E3779B97F4A7C15)`,
+/// so its marks depend on the seed and its degree alone — never on which
+/// worker, pass, or build path samples it.
+pub fn vertex_rng(seed: u64, v: usize) -> StdRng {
+    StdRng::seed_from_u64(seed ^ (v as u64).wrapping_mul(0x9E3779B97F4A7C15))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::{rngs::StdRng, SeedableRng};
 
     #[test]
     fn returns_all_when_k_exceeds_deg() {
@@ -257,14 +257,12 @@ mod tests {
 
     #[test]
     fn mark_indices_low_degree_takes_all() {
-        use sparsimatch_graph::generators::star;
-        let g = star(6); // center degree 5
         let mut s = PosArraySampler::new(8);
         let mut rng = StdRng::seed_from_u64(6);
         let mut out = Vec::new();
-        mark_indices_for_vertex(&g, VertexId(0), 2, 4, &mut s, &mut rng, &mut out);
+        s.mark_indices(5, 2, 4, &mut rng, &mut out);
         assert_eq!(out.len(), 2, "deg 5 > cap 4: sample delta = 2");
-        mark_indices_for_vertex(&g, VertexId(0), 2, 5, &mut s, &mut rng, &mut out);
-        assert_eq!(out.len(), 5, "deg 5 <= cap 5: take all");
+        s.mark_indices(5, 2, 5, &mut rng, &mut out);
+        assert_eq!(out, vec![0, 1, 2, 3, 4], "deg 5 <= cap 5: take all");
     }
 }

@@ -49,9 +49,8 @@ pub struct PipelineScratch {
     pub(crate) sampler: PosArraySampler,
     /// Mark stage: per-vertex sampled adjacency indices.
     pub(crate) indices: Vec<u32>,
-    /// Mark stage: raw marked edge ids before sort/dedup.
-    pub(crate) keep: Vec<u32>,
-    /// Mark stage output: sorted, deduplicated marked edge ids.
+    /// Mark stage output: marked edge ids, sorted and deduplicated in
+    /// place.
     pub(crate) ids: Vec<EdgeId>,
     /// Extract stage: sparsifier CSR arrays plus degree-count and
     /// scatter-cursor buffers.
@@ -77,7 +76,6 @@ impl PipelineScratch {
         PipelineScratch {
             sampler: PosArraySampler::new(0),
             indices: Vec::new(),
-            keep: Vec::new(),
             ids: Vec::new(),
             csr: CsrScratch::new(),
             searcher: BlossomSearcher::new(&Matching::new(0)),
@@ -99,7 +97,6 @@ impl PipelineScratch {
     /// *contents* (e.g. the previous result) without giving up warmth.
     pub fn clear(&mut self) {
         self.indices.clear();
-        self.keep.clear();
         self.ids.clear();
         self.csr.clear();
         self.edcs_in.clear();
@@ -120,7 +117,7 @@ impl PipelineScratch {
     pub fn capacity_bytes(&self) -> usize {
         use std::mem::size_of;
         self.sampler.capacity_bytes()
-            + (self.indices.capacity() + self.keep.capacity()) * size_of::<u32>()
+            + self.indices.capacity() * size_of::<u32>()
             + self.ids.capacity() * size_of::<EdgeId>()
             + self.csr.capacity_bytes()
             + self.searcher.capacity_bytes()
@@ -147,14 +144,13 @@ impl Default for PipelineScratch {
     }
 }
 
-/// Reusable buffers for the dynamic scheme's oracle-path rebuilds
-/// ([`mark_edges_oracle`](crate::sparsifier::mark_edges_oracle)-style
-/// marking over an adjacency-list graph, then greedy + bounded
-/// augmentation). One lives inside each
-/// `sparsimatch_dynamic::DynamicMatcher`; fields are public because the
-/// dynamic crate drives the stages itself, one budgeted slice per
-/// update, with the searcher holding the in-progress augmentation
-/// between updates.
+/// Reusable buffers for the dynamic scheme's oracle-path rebuilds:
+/// shared-RNG marking ([`mark_shared_rng`](crate::sparsifier::mark_shared_rng))
+/// over an adjacency-list graph, then greedy + bounded augmentation. One
+/// lives inside each `sparsimatch_dynamic::DynamicMatcher`; fields are
+/// public because the dynamic crate drives the stages itself, one
+/// budgeted slice per update, with the searcher holding the in-progress
+/// augmentation between updates.
 pub struct OracleRebuildScratch {
     /// Sampling overlay, grown to the largest degree seen so far.
     pub sampler: PosArraySampler,

@@ -7,12 +7,13 @@
 //! set, so a matching in `G_Δ` is a matching in `G` verbatim.
 
 use crate::params::SparsifierParams;
-use crate::sampler::{mark_indices_for_vertex, PosArraySampler};
+use crate::sampler::{vertex_rng, PosArraySampler};
 use rand::Rng;
-use sparsimatch_graph::adjacency::AdjacencyOracle;
-use sparsimatch_graph::csr::CsrGraph;
+use sparsimatch_graph::adjacency::{AdjacencyOracle, ProbeCounts};
+use sparsimatch_graph::csr::{from_marked_edges, CsrGraph};
 use sparsimatch_graph::ids::{EdgeId, VertexId};
 use sparsimatch_obs::{keys, WorkMeter};
+use std::ops::Range;
 
 /// Maximum accepted thread count for [`build_sparsifier_parallel`].
 ///
@@ -70,7 +71,8 @@ pub struct Sparsifier {
     pub stats: SparsifierStats,
 }
 
-/// Build `G_Δ` from a CSR graph. Runs in time `O(n + |E(G_Δ)|)` —
+/// Build `G_Δ` from a CSR graph with one shared RNG stream (the
+/// [`mark_shared_rng`] model). Runs in time `O(n + |E(G_Δ)|)` —
 /// deterministically linear in the *output*, not the input (Theorem 3.1's
 /// construction bound), modulo the final CSR layout.
 ///
@@ -88,81 +90,87 @@ pub struct Sparsifier {
 /// assert!(s.stats.edges < g.num_edges() / 2, "much sparser than the input");
 /// ```
 pub fn build_sparsifier(g: &CsrGraph, params: &SparsifierParams, rng: &mut impl Rng) -> Sparsifier {
-    build_sparsifier_impl(g, params, rng, None)
+    build_shared_rng(g, params.delta, params.mark_cap(), rng)
 }
 
-/// [`build_sparsifier`] with unified work accounting: sampler RNG draws
-/// and overlay writes, adjacency probes, and the sparsifier size are
-/// mirrored into `meter` (see [`sparsimatch_obs::keys`]). The output is
-/// identical to the unmetered build for the same RNG state.
-pub fn build_sparsifier_metered(
+/// [`build_sparsifier`] at an explicit low-degree threshold `mark_cap`
+/// (Section 2's plain construction uses `mark_cap = Δ`).
+pub(crate) fn build_shared_rng(
     g: &CsrGraph,
-    params: &SparsifierParams,
+    delta: usize,
+    mark_cap: usize,
     rng: &mut impl Rng,
-    meter: &mut WorkMeter,
 ) -> Sparsifier {
-    build_sparsifier_impl(g, params, rng, Some(meter))
-}
-
-fn build_sparsifier_impl(
-    g: &CsrGraph,
-    params: &SparsifierParams,
-    rng: &mut impl Rng,
-    meter: Option<&mut WorkMeter>,
-) -> Sparsifier {
-    let n = g.num_vertices();
-    let mut keep: Vec<EdgeId> = Vec::new();
-    let mut sampler = PosArraySampler::new(g.max_degree());
-    let mut indices: Vec<u32> = Vec::with_capacity(params.mark_cap());
-    let mut stats = SparsifierStats {
-        delta: params.delta,
-        mark_cap: params.mark_cap(),
-        ..Default::default()
-    };
-    for v in 0..n {
-        let v = VertexId::new(v);
-        let deg = g.degree(v);
-        if deg <= params.mark_cap() {
-            stats.low_degree_vertices += 1;
-        }
-        mark_indices_for_vertex(
-            g,
-            v,
-            params.delta,
-            params.mark_cap(),
-            &mut sampler,
-            rng,
-            &mut indices,
-        );
-        stats.marks_placed += indices.len();
-        for &i in &indices {
-            keep.push(g.incident_edge(v, i as usize));
-        }
-    }
     // The mark buffer holds O(marks_placed) ids, never O(|E(G)|) — keeping
     // construction linear in the *output* as Theorem 3.1 promises.
+    let mut keep: Vec<EdgeId> = Vec::new();
+    let mut sampler = PosArraySampler::new(g.max_degree());
+    let mut indices = Vec::with_capacity(mark_cap);
+    let mut stats = mark_shared_rng(
+        g,
+        delta,
+        mark_cap,
+        rng,
+        &mut sampler,
+        &mut indices,
+        |v, _, marked| {
+            keep.extend(marked.iter().map(|&i| g.incident_edge(v, i as usize)));
+        },
+    );
     keep.sort_unstable();
     keep.dedup();
-    let graph = sparsimatch_graph::csr::from_marked_edges(g, &keep, 1);
+    let graph = from_marked_edges(g, &keep, 1);
     stats.edges = graph.num_edges();
-    if let Some(meter) = meter {
-        // The CSR fast path reads the graph directly, so probes are
-        // accounted analytically: two degree reads per vertex (the
-        // low-degree check and the one inside `mark_indices_for_vertex`)
-        // and one adjacency-entry read per mark placed.
-        meter.add(keys::DEGREE_PROBES, 2 * n as u64);
-        meter.add(keys::NEIGHBOR_PROBES, stats.marks_placed as u64);
-        meter.add(keys::SPARSIFIER_EDGES, stats.edges as u64);
-        sampler.mirror_into(meter);
-    }
     Sparsifier { graph, stats }
+}
+
+/// The shared-randomness marking kernel: every non-isolated vertex of
+/// `g`, in id order, marks with the one `rng` stream (all incident edges
+/// when `deg ≤ mark_cap`, otherwise `delta` uniform ones), and
+/// `visit(v, deg, marked)` receives its marked adjacency indices.
+/// Isolated vertices mark nothing and draw no randomness, so skipping
+/// them changes no mark; they still count as low-degree in the returned
+/// stats, whose `edges` is left for the caller to set after dedup.
+///
+/// `sampler` must already cover the largest degree. Reads each degree
+/// once. Serves every build over an arbitrary [`AdjacencyOracle`] —
+/// [`build_sparsifier`], [`mark_edges_oracle`], the lower-bound plain
+/// construction, and the dynamic matcher's rebuilds.
+pub fn mark_shared_rng<G: AdjacencyOracle>(
+    g: &G,
+    delta: usize,
+    mark_cap: usize,
+    rng: &mut impl Rng,
+    sampler: &mut PosArraySampler,
+    indices: &mut Vec<u32>,
+    mut visit: impl FnMut(VertexId, usize, &[u32]),
+) -> SparsifierStats {
+    let mut stats = SparsifierStats {
+        delta,
+        mark_cap,
+        ..Default::default()
+    };
+    for v in 0..g.num_vertices() {
+        let v = VertexId::new(v);
+        let deg = g.degree(v);
+        if deg <= mark_cap {
+            stats.low_degree_vertices += 1;
+        }
+        if deg == 0 {
+            continue;
+        }
+        sampler.mark_indices(deg, delta, mark_cap, rng, indices);
+        stats.marks_placed += indices.len();
+        visit(v, deg, indices);
+    }
+    stats
 }
 
 /// Parallel `G_Δ` construction: per-vertex marking is embarrassingly
 /// parallel once each vertex draws from its own deterministically seeded
-/// RNG (exactly the independence the analysis requires anyway, and the
-/// same seeding the distributed protocol uses). The output is identical
-/// for any thread count.
+/// RNG ([`vertex_rng`] — exactly the independence the analysis requires
+/// anyway, and the same seeding the distributed protocol uses). The
+/// output is identical for any thread count.
 ///
 /// Rejects `threads` outside `1..=`[`MAX_THREADS`] with a
 /// [`ThreadCountError`] (no silent clamping).
@@ -172,10 +180,12 @@ pub fn build_sparsifier_parallel(
     seed: u64,
     threads: usize,
 ) -> Result<Sparsifier, ThreadCountError> {
-    build_sparsifier_parallel_impl(g, params, seed, threads, None)
+    build_sparsifier_parallel_metered(g, params, seed, threads, &mut WorkMeter::new())
 }
 
-/// [`build_sparsifier_parallel`] with unified work accounting. Per-worker
+/// [`build_sparsifier_parallel`] with unified work accounting: adjacency
+/// probes, sparsifier size, and the sampler's RNG draws and overlay
+/// writes land in `meter` (see [`sparsimatch_obs::keys`]). Per-worker
 /// counters are summed before mirroring, so the metered totals are also
 /// thread-count invariant.
 pub fn build_sparsifier_parallel_metered(
@@ -185,51 +195,129 @@ pub fn build_sparsifier_parallel_metered(
     threads: usize,
     meter: &mut WorkMeter,
 ) -> Result<Sparsifier, ThreadCountError> {
-    build_sparsifier_parallel_impl(g, params, seed, threads, Some(meter))
+    if threads == 0 || threads > MAX_THREADS {
+        return Err(ThreadCountError { requested: threads });
+    }
+    let mut ids = Vec::new();
+    let marks = mark_edges(
+        g,
+        params,
+        seed,
+        threads,
+        &mut PosArraySampler::new(0),
+        &mut Vec::new(),
+        &mut ids,
+    );
+    let graph = from_marked_edges(g, &ids, threads);
+    marks.mirror_into(meter, g.num_vertices());
+    Ok(Sparsifier {
+        graph,
+        stats: marks.stats,
+    })
 }
 
-struct ShardResult {
-    /// Edge ids marked by this worker's vertex range, sorted and deduped
-    /// locally (an edge can still appear in two different shards when its
-    /// endpoints land in different ranges).
-    keep: Vec<u32>,
-    marks_placed: usize,
-    low_degree: usize,
-    rng_draws: u64,
-    overlay_writes: u64,
-}
-
-/// The sorted, deduplicated marked-edge list plus marking statistics —
-/// stage 1 of the pipeline, before any CSR is materialized. Exposed to the
-/// pipeline so stage timings can bracket marking and extraction separately.
-pub(crate) struct ParallelMarks {
-    /// Globally sorted, strictly increasing marked edge ids.
-    pub ids: Vec<EdgeId>,
-    /// Marking statistics; `edges` is already set to `ids.len()`.
+/// What a seeded marking run reports: its statistics plus the sampler
+/// work it performed. Per-range summaries add up, so totals are
+/// thread-count invariant.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct MarkSummary {
+    /// Marking statistics; `edges` is the deduplicated marked-edge count.
     pub stats: SparsifierStats,
-    /// Total RNG draws across workers (thread-count invariant).
+    /// RNG draws taken during this run.
     pub rng_draws: u64,
-    /// Total sampler-overlay writes across workers (thread-count invariant).
+    /// Sampler-overlay writes during this run.
     pub overlay_writes: u64,
 }
 
-/// Run the marking stage across `threads` workers over disjoint vertex
-/// ranges, then merge the per-worker mark buffers into one sorted,
-/// deduplicated edge-id list. Deterministic for a fixed `seed` regardless
-/// of `threads`.
-pub(crate) fn mark_edges_parallel(
+impl MarkSummary {
+    /// The analytic probe ledger of a seeded build over `n` vertices: the
+    /// CSR fast path reads the graph directly, so probes are counted, not
+    /// observed — two degree reads per vertex (the pass that sizes the
+    /// sampler and the marking pass) and one adjacency-entry read per
+    /// mark placed.
+    pub fn probes(&self, n: usize) -> ProbeCounts {
+        ProbeCounts {
+            degree_probes: 2 * n as u64,
+            neighbor_probes: self.stats.marks_placed as u64,
+        }
+    }
+
+    /// Mirror the probes, sparsifier size, and sampler work into `meter`.
+    fn mirror_into(&self, meter: &mut WorkMeter, n: usize) {
+        let probes = self.probes(n);
+        meter.add(keys::DEGREE_PROBES, probes.degree_probes);
+        meter.add(keys::NEIGHBOR_PROBES, probes.neighbor_probes);
+        meter.add(keys::SPARSIFIER_EDGES, self.stats.edges as u64);
+        meter.add(keys::RNG_DRAWS, self.rng_draws);
+        meter.add(keys::OVERLAY_WRITES, self.overlay_writes);
+    }
+}
+
+/// The seeded marking kernel: every vertex in `range` marks with its own
+/// [`vertex_rng`] stream, and `keep` ends up holding the range's marked
+/// edge ids, sorted and deduplicated. The marks depend on `seed` alone,
+/// never on how the vertex set is split, which is what makes every
+/// thread count byte-identical. `sampler` must cover the range's
+/// largest degree.
+fn mark_range(
+    g: &CsrGraph,
+    params: &SparsifierParams,
+    seed: u64,
+    range: Range<usize>,
+    sampler: &mut PosArraySampler,
+    indices: &mut Vec<u32>,
+    keep: &mut Vec<EdgeId>,
+) -> MarkSummary {
+    let (draws_before, writes_before) = (sampler.rng_draws(), sampler.overlay_writes());
+    let mut stats = SparsifierStats {
+        delta: params.delta,
+        mark_cap: params.mark_cap(),
+        ..Default::default()
+    };
+    keep.clear();
+    for v in range {
+        let vid = VertexId::new(v);
+        let deg = g.degree(vid);
+        if deg <= params.mark_cap() {
+            stats.low_degree_vertices += 1;
+        }
+        let mut rng = vertex_rng(seed, v);
+        sampler.mark_indices(deg, params.delta, params.mark_cap(), &mut rng, indices);
+        stats.marks_placed += indices.len();
+        keep.extend(indices.iter().map(|&i| g.incident_edge(vid, i as usize)));
+    }
+    keep.sort_unstable();
+    keep.dedup();
+    stats.edges = keep.len();
+    MarkSummary {
+        stats,
+        rng_draws: sampler.rng_draws() - draws_before,
+        overlay_writes: sampler.overlay_writes() - writes_before,
+    }
+}
+
+/// Stage 1 (mark) of the seeded build into `ids`: sorted, deduplicated
+/// marked edge ids. One worker runs [`mark_range`] inline on the caller's
+/// buffers — allocation-free once they have capacity. More workers split
+/// the vertices into `threads` contiguous ranges, each on buffers of its
+/// own, and merge their id lists. The output is identical either way.
+/// `threads` must already be validated.
+pub(crate) fn mark_edges(
     g: &CsrGraph,
     params: &SparsifierParams,
     seed: u64,
     threads: usize,
-) -> Result<ParallelMarks, ThreadCountError> {
-    use rand::SeedableRng;
-    if threads == 0 || threads > MAX_THREADS {
-        return Err(ThreadCountError { requested: threads });
-    }
+    sampler: &mut PosArraySampler,
+    indices: &mut Vec<u32>,
+    ids: &mut Vec<EdgeId>,
+) -> MarkSummary {
     let n = g.num_vertices();
+    if threads == 1 {
+        sampler.ensure_capacity(g.max_degree().max(1));
+        return mark_range(g, params, seed, 0..n, sampler, indices, ids);
+    }
     let chunk = n.div_ceil(threads).max(1);
-    let shards: Vec<ShardResult> = std::thread::scope(|s| {
+    let shards: Vec<(Vec<EdgeId>, MarkSummary)> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..n)
             .step_by(chunk)
             .map(|lo| {
@@ -237,53 +325,21 @@ pub(crate) fn mark_edges_parallel(
                 s.spawn(move || {
                     // Size the sampler overlay to this worker's own range,
                     // not the global max degree: a star hub inflates one
-                    // worker's overlay, not all of them. The same pass
-                    // bounds the mark count (≤ min(deg, mark_cap) per
-                    // vertex) so `keep` is reserved once, up front.
-                    let mut local_max_deg = 0usize;
-                    let mut mark_bound = 0usize;
-                    for v in lo..hi {
-                        let deg = g.degree(VertexId::new(v));
-                        local_max_deg = local_max_deg.max(deg);
-                        mark_bound += deg.min(params.mark_cap());
-                    }
+                    // worker's overlay, not all of them.
+                    let (local_max_deg, mark_bound) = mark_sizing(g, lo..hi, params.mark_cap());
                     let mut sampler = PosArraySampler::new(local_max_deg.max(1));
                     let mut indices = Vec::with_capacity(params.mark_cap().max(1));
-                    let mut keep: Vec<u32> = Vec::with_capacity(mark_bound);
-                    let mut marks_placed = 0usize;
-                    let mut low_degree = 0usize;
-                    for v in lo..hi {
-                        let vid = VertexId::new(v);
-                        let deg = g.degree(vid);
-                        if deg <= params.mark_cap() {
-                            low_degree += 1;
-                        }
-                        let mut rng = rand::rngs::StdRng::seed_from_u64(
-                            seed ^ (v as u64).wrapping_mul(0x9E3779B97F4A7C15),
-                        );
-                        mark_indices_for_vertex(
-                            g,
-                            vid,
-                            params.delta,
-                            params.mark_cap(),
-                            &mut sampler,
-                            &mut rng,
-                            &mut indices,
-                        );
-                        marks_placed += indices.len();
-                        for &i in &indices {
-                            keep.push(g.incident_edge(vid, i as usize).0);
-                        }
-                    }
-                    keep.sort_unstable();
-                    keep.dedup();
-                    ShardResult {
-                        keep,
-                        marks_placed,
-                        low_degree,
-                        rng_draws: sampler.rng_draws(),
-                        overlay_writes: sampler.overlay_writes(),
-                    }
+                    let mut keep = Vec::with_capacity(mark_bound);
+                    let summary = mark_range(
+                        g,
+                        params,
+                        seed,
+                        lo..hi,
+                        &mut sampler,
+                        &mut indices,
+                        &mut keep,
+                    );
+                    (keep, summary)
                 })
             })
             .collect();
@@ -294,50 +350,54 @@ pub(crate) fn mark_edges_parallel(
             .map(|h| h.join().expect("sparsifier worker panicked"))
             .collect()
     });
-    let mut stats = SparsifierStats {
-        delta: params.delta,
-        mark_cap: params.mark_cap(),
-        ..Default::default()
+    let mut total = MarkSummary {
+        stats: SparsifierStats {
+            delta: params.delta,
+            mark_cap: params.mark_cap(),
+            ..Default::default()
+        },
+        rng_draws: 0,
+        overlay_writes: 0,
     };
-    let mut rng_draws = 0u64;
-    let mut overlay_writes = 0u64;
-    for shard in &shards {
-        stats.marks_placed += shard.marks_placed;
-        stats.low_degree_vertices += shard.low_degree;
-        rng_draws += shard.rng_draws;
-        overlay_writes += shard.overlay_writes;
+    for (_, shard) in &shards {
+        total.stats.marks_placed += shard.stats.marks_placed;
+        total.stats.low_degree_vertices += shard.stats.low_degree_vertices;
+        total.rng_draws += shard.rng_draws;
+        total.overlay_writes += shard.overlay_writes;
     }
-    let shard_bufs: Vec<Vec<u32>> = shards.into_iter().map(|s| s.keep).collect();
-    let ids = merge_mark_shards(&shard_bufs, g.num_edges(), threads);
-    stats.edges = ids.len();
-    Ok(ParallelMarks {
-        ids,
-        stats,
-        rng_draws,
-        overlay_writes,
-    })
+    let shard_bufs: Vec<Vec<EdgeId>> = shards.into_iter().map(|(keep, _)| keep).collect();
+    merge_mark_shards(&shard_bufs, g.num_edges(), threads, ids);
+    total.stats.edges = ids.len();
+    total
 }
 
-/// Merge per-worker sorted mark buffers into one globally sorted,
-/// deduplicated edge-id list with a two-pass count/prefix-sum: pass one
+/// Merge per-worker sorted mark buffers into `out`, one globally sorted,
+/// deduplicated edge-id list, with a two-pass count/prefix-sum: pass one
 /// merges each edge-id *bucket* independently in parallel (every worker's
 /// contribution to a bucket is a contiguous subrange found by binary
 /// search), the count/prefix-sum over bucket lengths fixes each bucket's
 /// output offset, and pass two scatters the buckets into place in parallel.
-fn merge_mark_shards(shards: &[Vec<u32>], num_edges: usize, threads: usize) -> Vec<EdgeId> {
+fn merge_mark_shards(
+    shards: &[Vec<EdgeId>],
+    num_edges: usize,
+    threads: usize,
+    out: &mut Vec<EdgeId>,
+) {
+    out.clear();
     if num_edges == 0 || shards.is_empty() {
-        return Vec::new();
+        return;
     }
     if shards.len() == 1 {
         // Already sorted and deduplicated by the lone worker.
-        return shards[0].iter().map(|&e| EdgeId(e)).collect();
+        out.extend_from_slice(&shards[0]);
+        return;
     }
     let bucket_width = num_edges.div_ceil(threads).max(1);
-    let buckets: Vec<Vec<u32>> = std::thread::scope(|s| {
+    let buckets: Vec<Vec<EdgeId>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
             .map(|b| {
-                let lo = (b * bucket_width).min(num_edges) as u32;
-                let hi = ((b + 1) * bucket_width).min(num_edges) as u32;
+                let lo = EdgeId::new((b * bucket_width).min(num_edges));
+                let hi = EdgeId::new(((b + 1) * bucket_width).min(num_edges));
                 s.spawn(move || {
                     // Locate each shard's contribution first so `merged`
                     // is reserved once instead of grown per shard.
@@ -349,7 +409,7 @@ fn merge_mark_shards(shards: &[Vec<u32>], num_edges: usize, threads: usize) -> V
                         *span = (start, end);
                         total += end - start;
                     }
-                    let mut merged: Vec<u32> = Vec::with_capacity(total);
+                    let mut merged = Vec::with_capacity(total);
                     for (shard, &(start, end)) in shards.iter().zip(spans.iter()) {
                         merged.extend_from_slice(&shard[start..end]);
                     }
@@ -365,191 +425,57 @@ fn merge_mark_shards(shards: &[Vec<u32>], num_edges: usize, threads: usize) -> V
             .map(|h| h.join().expect("mark-merge worker panicked"))
             .collect()
     });
-    let total: usize = buckets.iter().map(Vec::len).sum();
-    let mut out: Vec<EdgeId> = Vec::with_capacity(total);
-    {
-        // Scatter pass: each bucket owns a disjoint window of the output,
-        // handed out by `split_at_mut` in prefix-sum order.
-        let mut rest = out.spare_capacity_mut();
-        std::thread::scope(|s| {
-            for bucket in &buckets {
-                let (window, tail) = rest.split_at_mut(bucket.len());
-                rest = tail;
-                s.spawn(move || {
-                    for (slot, &e) in window.iter_mut().zip(bucket) {
-                        slot.write(EdgeId(e));
-                    }
-                });
-            }
-        });
-    }
-    // SAFETY: `total` slots were reserved and every one of them was
-    // initialized by exactly one scatter worker above.
-    unsafe { out.set_len(total) };
-    out
-}
-
-/// Work summary of a scratch-path marking run (the stats plus the work
-/// counters [`ParallelMarks`] reports alongside its ids).
-pub(crate) struct MarkSummary {
-    /// Marking-stage statistics (`edges` set to the deduplicated count).
-    pub stats: SparsifierStats,
-    /// RNG draws taken during this run (delta, not the sampler lifetime
-    /// total, so it matches the fresh-sampler parallel path).
-    pub rng_draws: u64,
-    /// Overlay writes during this run (delta, as above).
-    pub overlay_writes: u64,
-}
-
-/// The marking stage of [`mark_edges_parallel`] run sequentially into
-/// caller-owned buffers: byte-identical output and stats to
-/// `mark_edges_parallel(g, params, seed, 1)` (pinned by test), but the
-/// sampler overlay, index buffer, mark buffer, and output id list are all
-/// reused — allocation-free once they have capacity. This is the pipeline
-/// scratch path's stage 1.
-pub(crate) fn mark_edges_sequential_into(
-    g: &CsrGraph,
-    params: &SparsifierParams,
-    seed: u64,
-    sampler: &mut PosArraySampler,
-    indices: &mut Vec<u32>,
-    keep: &mut Vec<u32>,
-    ids: &mut Vec<EdgeId>,
-) -> MarkSummary {
-    use rand::SeedableRng;
-    let n = g.num_vertices();
-    sampler.ensure_capacity(g.max_degree().max(1));
-    let draws_before = sampler.rng_draws();
-    let writes_before = sampler.overlay_writes();
-    let mut stats = SparsifierStats {
-        delta: params.delta,
-        mark_cap: params.mark_cap(),
-        ..Default::default()
-    };
-    keep.clear();
-    for v in 0..n {
-        let vid = VertexId::new(v);
-        let deg = g.degree(vid);
-        if deg <= params.mark_cap() {
-            stats.low_degree_vertices += 1;
+    out.resize(buckets.iter().map(Vec::len).sum(), EdgeId(0));
+    // Scatter pass: each bucket owns a disjoint window of the output,
+    // handed out by `split_at_mut` in prefix-sum order.
+    let mut rest = out.as_mut_slice();
+    std::thread::scope(|s| {
+        for bucket in &buckets {
+            let (window, tail) = rest.split_at_mut(bucket.len());
+            rest = tail;
+            s.spawn(move || window.copy_from_slice(bucket));
         }
-        // Same per-vertex seeding as the parallel workers — the marks must
-        // not depend on which path ran.
-        let mut rng =
-            rand::rngs::StdRng::seed_from_u64(seed ^ (v as u64).wrapping_mul(0x9E3779B97F4A7C15));
-        mark_indices_for_vertex(
-            g,
-            vid,
-            params.delta,
-            params.mark_cap(),
-            sampler,
-            &mut rng,
-            indices,
-        );
-        stats.marks_placed += indices.len();
-        for &i in indices.iter() {
-            keep.push(g.incident_edge(vid, i as usize).0);
-        }
-    }
-    keep.sort_unstable();
-    keep.dedup();
-    ids.clear();
-    ids.extend(keep.iter().map(|&e| EdgeId(e)));
-    stats.edges = ids.len();
-    MarkSummary {
-        stats,
-        rng_draws: sampler.rng_draws() - draws_before,
-        overlay_writes: sampler.overlay_writes() - writes_before,
-    }
+    });
 }
 
-fn build_sparsifier_parallel_impl(
-    g: &CsrGraph,
-    params: &SparsifierParams,
-    seed: u64,
-    threads: usize,
-    meter: Option<&mut WorkMeter>,
-) -> Result<Sparsifier, ThreadCountError> {
-    let marks = mark_edges_parallel(g, params, seed, threads)?;
-    let graph = sparsimatch_graph::csr::from_marked_edges(g, &marks.ids, threads);
-    let mut stats = marks.stats;
-    stats.edges = graph.num_edges();
-    if let Some(meter) = meter {
-        // Same analytic probe accounting as the sequential CSR path:
-        // two degree reads per vertex, one adjacency-entry read per mark.
-        meter.add(keys::DEGREE_PROBES, 2 * g.num_vertices() as u64);
-        meter.add(keys::NEIGHBOR_PROBES, stats.marks_placed as u64);
-        meter.add(keys::SPARSIFIER_EDGES, stats.edges as u64);
-        meter.add(keys::RNG_DRAWS, marks.rng_draws);
-        meter.add(keys::OVERLAY_WRITES, marks.overlay_writes);
-    }
-    Ok(Sparsifier { graph, stats })
+/// One degree pass over `vertices`: the largest degree, which sizes the
+/// sampler overlay, and the mark-count bound `Σ min(deg, mark_cap)`,
+/// which sizes the mark buffer — so neither grows inside the marking
+/// loop.
+fn mark_sizing(
+    g: &impl AdjacencyOracle,
+    vertices: Range<usize>,
+    mark_cap: usize,
+) -> (usize, usize) {
+    vertices
+        .map(|v| g.degree(VertexId::new(v)))
+        .fold((0, 0), |(max_deg, bound), deg| {
+            (max_deg.max(deg), bound + deg.min(mark_cap))
+        })
 }
 
 /// Build the marked edge *list* from any adjacency oracle (no edge ids
-/// needed). This is the form used when the input is not materialized as a
-/// CSR graph — e.g. the probe-counting experiments and the dynamic setting.
-/// Returns endpoint pairs with possible duplicates (an edge can be marked
-/// from both sides); deduplication happens wherever a graph is built.
+/// needed) with one shared RNG stream. This is the form used when the
+/// input is not materialized as a CSR graph — e.g. the probe-counting
+/// experiments and the dynamic setting. Returns endpoint pairs with
+/// possible duplicates (an edge can be marked from both sides);
+/// deduplication happens wherever a graph is built.
 pub fn mark_edges_oracle(
     g: &impl AdjacencyOracle,
     params: &SparsifierParams,
     rng: &mut impl Rng,
 ) -> Vec<(VertexId, VertexId)> {
-    mark_edges_oracle_impl(g, params, rng, None)
-}
-
-/// [`mark_edges_oracle`] with unified work accounting: sampler RNG draws
-/// and overlay writes are mirrored into `meter`. (Probe counts are the
-/// caller's business — wrap the oracle in a
-/// [`sparsimatch_graph::adjacency::CountingOracle`].)
-pub fn mark_edges_oracle_metered(
-    g: &impl AdjacencyOracle,
-    params: &SparsifierParams,
-    rng: &mut impl Rng,
-    meter: &mut WorkMeter,
-) -> Vec<(VertexId, VertexId)> {
-    mark_edges_oracle_impl(g, params, rng, Some(meter))
-}
-
-fn mark_edges_oracle_impl(
-    g: &impl AdjacencyOracle,
-    params: &SparsifierParams,
-    rng: &mut impl Rng,
-    meter: Option<&mut WorkMeter>,
-) -> Vec<(VertexId, VertexId)> {
-    let n = g.num_vertices();
-    // One degree pass sizes both the sampler overlay and the output
-    // buffer (each vertex marks ≤ min(deg, mark_cap) edges), so neither
-    // grows inside the marking loop.
-    let mut max_deg = 0usize;
-    let mut mark_bound = 0usize;
-    for v in 0..n {
-        let deg = g.degree(VertexId::new(v));
-        max_deg = max_deg.max(deg);
-        mark_bound += deg.min(params.mark_cap());
-    }
-    let mut sampler = PosArraySampler::new(max_deg);
-    let mut indices: Vec<u32> = Vec::with_capacity(params.mark_cap().max(1));
+    let (max_deg, mark_bound) = mark_sizing(g, 0..g.num_vertices(), params.mark_cap());
     let mut out = Vec::with_capacity(mark_bound);
-    for v in 0..n {
-        let v = VertexId::new(v);
-        mark_indices_for_vertex(
-            g,
-            v,
-            params.delta,
-            params.mark_cap(),
-            &mut sampler,
-            rng,
-            &mut indices,
-        );
-        for &i in &indices {
-            out.push((v, g.neighbor(v, i as usize)));
-        }
-    }
-    if let Some(meter) = meter {
-        sampler.mirror_into(meter);
-    }
+    mark_shared_rng(
+        g,
+        params.delta,
+        params.mark_cap(),
+        rng,
+        &mut PosArraySampler::new(max_deg),
+        &mut Vec::with_capacity(params.mark_cap().max(1)),
+        |v, _, marked| out.extend(marked.iter().map(|&i| (v, g.neighbor(v, i as usize)))),
+    );
     out
 }
 
@@ -568,10 +494,10 @@ mod tests {
     }
 
     #[test]
-    fn sequential_mark_equals_parallel_single_shard() {
-        // The scratch path's stage 1 must be byte-identical to the
-        // parallel marker — ids, stats, and work counters — including on
-        // a reused (dirty, oversized) buffer set.
+    fn inline_mark_equals_sharded_mark() {
+        // The one-worker path runs the kernel inline on the caller's
+        // (reused: dirty, oversized) buffers; sharded runs must reproduce
+        // it exactly — ids, stats, and work counters.
         let mut rng = StdRng::seed_from_u64(40);
         let graphs = [
             clique(90),
@@ -583,29 +509,27 @@ mod tests {
         let p = params(2, 0.4, 3);
         let mut sampler = PosArraySampler::new(1);
         let mut indices = vec![9u32; 7]; // deliberately dirty
-        let mut keep = vec![3u32; 11];
         let mut ids = vec![EdgeId(5); 13];
         for (i, g) in graphs.iter().enumerate() {
             for seed in [0u64, 17, 99] {
-                let par = mark_edges_parallel(g, &p, seed, 1).unwrap();
-                let summary = mark_edges_sequential_into(
-                    g,
-                    &p,
-                    seed,
-                    &mut sampler,
-                    &mut indices,
-                    &mut keep,
-                    &mut ids,
-                );
-                assert_eq!(par.ids, ids, "graph {i} seed {seed}");
-                assert_eq!(par.stats.marks_placed, summary.stats.marks_placed);
-                assert_eq!(
-                    par.stats.low_degree_vertices,
-                    summary.stats.low_degree_vertices
-                );
-                assert_eq!(par.stats.edges, summary.stats.edges);
-                assert_eq!(par.rng_draws, summary.rng_draws, "graph {i} seed {seed}");
-                assert_eq!(par.overlay_writes, summary.overlay_writes);
+                let inline = mark_edges(g, &p, seed, 1, &mut sampler, &mut indices, &mut ids);
+                let inline_ids = ids.clone();
+                for threads in [2usize, 4] {
+                    let sharded = mark_edges(
+                        g,
+                        &p,
+                        seed,
+                        threads,
+                        &mut PosArraySampler::new(0),
+                        &mut Vec::new(),
+                        &mut ids,
+                    );
+                    let label = format!("graph {i} seed {seed} threads {threads}");
+                    assert_eq!(inline_ids, ids, "{label}");
+                    assert_eq!(inline.stats, sharded.stats, "{label}");
+                    assert_eq!(inline.rng_draws, sharded.rng_draws, "{label}");
+                    assert_eq!(inline.overlay_writes, sharded.overlay_writes, "{label}");
+                }
             }
         }
     }
@@ -794,11 +718,9 @@ mod tests {
     fn metered_build_matches_unmetered_and_counts_work() {
         let g = clique(80);
         let p = params(1, 0.5, 4);
-        let mut rng1 = StdRng::seed_from_u64(11);
-        let mut rng2 = StdRng::seed_from_u64(11);
         let mut meter = sparsimatch_obs::WorkMeter::new();
-        let plain = build_sparsifier(&g, &p, &mut rng1);
-        let metered = build_sparsifier_metered(&g, &p, &mut rng2, &mut meter);
+        let plain = build_sparsifier_parallel(&g, &p, 11, 1).unwrap();
+        let metered = build_sparsifier_parallel_metered(&g, &p, 11, 1, &mut meter).unwrap();
         let e1: Vec<_> = plain.graph.edges().map(|(_, u, v)| (u.0, v.0)).collect();
         let e2: Vec<_> = metered.graph.edges().map(|(_, u, v)| (u.0, v.0)).collect();
         assert_eq!(e1, e2, "metering must not perturb the build");

@@ -8,9 +8,9 @@
 //! whole construction keeps O(n) per-vertex state plus the kept edges.
 //!
 //! The trick is that the marking scheme is replayable from degrees
-//! alone. Each vertex `v` samples with its own RNG seeded as
-//! `seed ^ (v·0x9E3779B97F4A7C15)` — exactly the per-vertex streams of
-//! the in-memory marking path (`sparsifier::mark_edges_parallel`) — and
+//! alone. Each vertex `v` samples with its own
+//! [`vertex_rng`](crate::sampler::vertex_rng) stream — exactly the
+//! per-vertex streams of the in-memory seeded marking path — and
 //! [`PosArraySampler::sample_indices`] consumes randomness as a function
 //! of `deg(v)` only. So:
 //!
@@ -35,9 +35,8 @@
 //! buffers excluded) — so reports are machine- and allocator-independent.
 
 use crate::params::SparsifierParams;
-use crate::sampler::PosArraySampler;
+use crate::sampler::{vertex_rng, PosArraySampler};
 use crate::sparsifier::{Sparsifier, SparsifierStats};
-use rand::SeedableRng;
 use sparsimatch_graph::adjacency::ProbeCounts;
 use sparsimatch_graph::bitset::BitSet;
 use sparsimatch_graph::csr::{from_sorted_edges, CsrGraph};
@@ -317,10 +316,7 @@ pub fn build_sparsifier_streamed(
             // The same per-vertex seeding as every in-memory marking
             // path; `sample_indices` draws as a function of `deg` alone,
             // so these are the marks the in-memory build would place.
-            let mut rng = rand::rngs::StdRng::seed_from_u64(
-                seed ^ (v as u64).wrapping_mul(0x9E3779B97F4A7C15),
-            );
-            sampler.sample_indices(deg, params.delta, &mut rng, &mut indices);
+            sampler.sample_indices(deg, params.delta, &mut vertex_rng(seed, v), &mut indices);
             stats.marks_placed += indices.len();
             // Only membership matters downstream, so sorting per vertex
             // is safe and makes pass 2 a cursor walk.

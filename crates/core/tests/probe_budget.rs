@@ -4,12 +4,11 @@
 //! far above the `2Δ` low-degree threshold, so every vertex samples).
 //!
 //! The counters come from the [`sparsimatch_obs::WorkMeter`] wired through
-//! `build_sparsifier_metered`, i.e. this exercises the same accounting the
-//! CLI exports via `--metrics-json`.
+//! `build_sparsifier_parallel_metered` — the seeded metered build the
+//! CLI's `sparsify` exports via `--metrics-json`.
 
-use rand::{rngs::StdRng, SeedableRng};
 use sparsimatch_core::params::SparsifierParams;
-use sparsimatch_core::sparsifier::build_sparsifier_metered;
+use sparsimatch_core::sparsifier::build_sparsifier_parallel_metered;
 use sparsimatch_graph::generators::clique;
 use sparsimatch_obs::{keys, WorkMeter};
 
@@ -19,9 +18,8 @@ fn sequential_build_meets_linear_probe_budget_on_cliques() {
         let g = clique(n);
         let params = SparsifierParams::with_delta(1, 0.5, 4);
         let delta = params.delta as u64;
-        let mut rng = StdRng::seed_from_u64(7);
         let mut meter = WorkMeter::new();
-        let s = build_sparsifier_metered(&g, &params, &mut rng, &mut meter);
+        let s = build_sparsifier_parallel_metered(&g, &params, 7, 1, &mut meter).unwrap();
         assert!(s.stats.edges > 0);
 
         let nu = n as u64;
@@ -65,9 +63,8 @@ fn probe_budget_is_independent_of_edge_count() {
     let params = SparsifierParams::with_delta(1, 0.5, 4);
     let mut work = Vec::new();
     for &n in &[100usize, 200] {
-        let mut rng = StdRng::seed_from_u64(7);
         let mut meter = WorkMeter::new();
-        build_sparsifier_metered(&clique(n), &params, &mut rng, &mut meter);
+        build_sparsifier_parallel_metered(&clique(n), &params, 7, 1, &mut meter).unwrap();
         work.push(meter.counters().map(|(_, v)| v).sum::<u64>());
     }
     assert!(

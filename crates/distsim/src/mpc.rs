@@ -28,9 +28,10 @@ use rand::rngs::StdRng;
 use rand::seq::index::sample;
 use rand::SeedableRng;
 use sparsimatch_core::params::SparsifierParams;
-use sparsimatch_core::pipeline::{approx_mcm_on_sparsifier, stage_eps};
+use sparsimatch_core::pipeline::{match_stage, stage_eps};
 use sparsimatch_graph::csr::{CsrGraph, GraphBuilder};
 use sparsimatch_graph::ids::VertexId;
+use sparsimatch_matching::blossom::BlossomSearcher;
 use sparsimatch_matching::Matching;
 
 /// MPC cluster shape.
@@ -198,7 +199,10 @@ pub fn mpc_approx_mcm_sharded(
         b.add_edge(VertexId(u), VertexId(v));
     }
     let sparse = b.build();
-    let (matching, _) = approx_mcm_on_sparsifier(&sparse, stage_eps(params.eps));
+    let mut matching = Matching::new(0);
+    let mut searcher = BlossomSearcher::new(&matching);
+    let eps = stage_eps(params.eps);
+    match_stage(&sparse, eps, 1, &mut matching, &mut searcher);
     debug_assert!(matching.is_valid_for(g));
 
     // Round 2: return each vertex's mate to its owner; per-machine load is

@@ -32,8 +32,8 @@ use crate::adversary::Update;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sparsimatch_core::params::SparsifierParams;
-use sparsimatch_core::sampler::mark_indices_for_vertex;
 use sparsimatch_core::scratch::OracleRebuildScratch;
+use sparsimatch_core::sparsifier::mark_shared_rng;
 use sparsimatch_graph::adjacency::AdjacencyOracle;
 use sparsimatch_graph::adjlist::AdjListGraph;
 use sparsimatch_graph::csr::{CsrGraph, GraphBuilder};
@@ -243,31 +243,27 @@ impl DynamicMatcher {
         // O(|MCM|·β·Δ) of Observation 2.10 + Lemma 2.2 (n' ≤ (β+2)·|MCM|).
         // Work: one unit per adjacency probe (≤ mark_cap per vertex).
         self.scratch.clear();
-        self.scratch
-            .sampler
-            .ensure_capacity(self.max_degree_seen.max(1));
-        for v in 0..n {
-            let v = VertexId::new(v);
-            let deg = self.graph.degree(v);
-            if deg == 0 {
-                continue;
-            }
-            mark_indices_for_vertex(
-                &self.graph,
-                v,
-                self.params.delta,
-                self.params.mark_cap(),
-                &mut self.scratch.sampler,
-                &mut rng,
-                &mut self.scratch.indices,
-            );
-            for &i in &self.scratch.indices {
-                self.scratch
-                    .marks
-                    .push((v, self.graph.neighbor(v, i as usize)));
-            }
-            work += deg.min(self.params.mark_cap()) as u64 + 1;
-        }
+        let OracleRebuildScratch {
+            sampler,
+            indices,
+            marks,
+            ..
+        } = &mut self.scratch;
+        sampler.ensure_capacity(self.max_degree_seen.max(1));
+        let graph = &self.graph;
+        let mark_cap = self.params.mark_cap();
+        mark_shared_rng(
+            graph,
+            self.params.delta,
+            mark_cap,
+            &mut rng,
+            sampler,
+            indices,
+            |v, deg, marked| {
+                marks.extend(marked.iter().map(|&i| (v, graph.neighbor(v, i as usize))));
+                work += deg.min(mark_cap) as u64 + 1;
+            },
+        );
         // Free the finished rebuild's sparsifier before laying out the
         // next, so only one is resident at a time.
         self.sparse = GraphBuilder::new(0).build();

@@ -33,17 +33,6 @@ fn fits_narrow(two_m: usize) -> bool {
 }
 
 impl Offsets {
-    /// Exclusive prefix sums of `degree`, in the repr `two_m` dictates.
-    fn from_degrees(degree: &[u32], two_m: usize) -> Offsets {
-        let mut out = if fits_narrow(two_m) {
-            Offsets::Narrow(Vec::new())
-        } else {
-            Offsets::Wide(Vec::new())
-        };
-        out.rebuild_from_degrees(degree, two_m);
-        out
-    }
-
     /// Convert a full-width offset array (as the parallel layout builds)
     /// into the canonical repr for `two_m` half-edges.
     fn from_wide(offsets: Vec<usize>, two_m: usize) -> Offsets {
@@ -289,20 +278,6 @@ impl CsrGraph {
         builder.build()
     }
 
-    /// The subgraph induced by `keep[v] == true` vertices. The vertex set is
-    /// preserved (dropped vertices become isolated), which keeps vertex ids
-    /// stable across the sparsifier pipeline.
-    pub fn induced_subgraph(&self, keep: &[bool]) -> CsrGraph {
-        assert_eq!(keep.len(), self.num_vertices());
-        let mut builder = GraphBuilder::new(self.num_vertices());
-        for (_, u, v) in self.edges() {
-            if keep[u.index()] && keep[v.index()] {
-                builder.add_edge(u, v);
-            }
-        }
-        builder.build()
-    }
-
     /// Total memory held by the four internal arrays, in bytes, audited
     /// against every field: offsets (at their actual width), the two
     /// half-edge arrays, and the undirected endpoint list. Useful for
@@ -389,79 +364,59 @@ impl GraphBuilder {
         self.edges.dedup();
         layout_sorted(self.num_vertices, self.edges)
     }
-
-    /// Finalize into a [`CsrGraph`] using up to `threads` workers for the
-    /// CSR layout (degree counting, offset prefix sums, and the half-edge
-    /// scatter). The output is byte-identical to [`GraphBuilder::build`]
-    /// for any thread count; `threads == 1` (or a small edge list) takes
-    /// the sequential path.
-    pub fn build_parallel(mut self, threads: usize) -> CsrGraph {
-        self.edges.sort_unstable();
-        self.edges.dedup();
-        layout_sorted_parallel(self.num_vertices, self.edges, threads)
-    }
 }
 
 /// Lay out CSR arrays from a lex-sorted, deduplicated edge list with
-/// `u < v` per edge. Because the list is globally sorted, scattering the
-/// half-edges in edge order leaves every adjacency window already sorted
-/// by neighbor id: for a vertex `v`, all edges `(a, v)` with `a < v`
-/// precede all edges `(v, b)` with `b > v`, each group in ascending order.
+/// `u < v` per edge, through the one sequential scatter
+/// ([`CsrScratch::layout`]) on a fresh scratch.
 fn layout_sorted(n: usize, edges: Vec<(u32, u32)>) -> CsrGraph {
-    let m = edges.len();
-    debug_assert!(edges.windows(2).all(|w| w[0] < w[1]), "edges not sorted");
+    let mut scratch = CsrScratch::new();
+    scratch.graph.endpoints = edges;
+    scratch.layout(n);
+    scratch.graph
+}
 
-    let mut degree = vec![0u32; n];
-    for &(u, v) in &edges {
-        degree[u as usize] += 1;
-        degree[v as usize] += 1;
+/// Resize `v` to `len` default (zero) elements, reusing its buffer when
+/// it is large enough; a buffer that must grow is replaced by a fresh,
+/// allocator-zeroed one instead of copied and then overwritten.
+fn zeroed<T: Copy + Default>(v: &mut Vec<T>, len: usize) {
+    if v.capacity() < len {
+        *v = vec![T::default(); len];
+    } else {
+        v.clear();
+        v.resize(len, T::default());
     }
-    let offsets = Offsets::from_degrees(&degree, 2 * m);
+}
 
-    let mut targets = vec![0u32; 2 * m];
-    let mut half_edge_ids = vec![0u32; 2 * m];
-    match &offsets {
-        Offsets::Narrow(offs) => {
-            // Cursors fit in the degree array: reuse it instead of
-            // allocating a usize cursor vector (the narrow layout keeps
-            // the whole build at 4 bytes per vertex of working state).
-            degree.copy_from_slice(&offs[..n]);
-            for (eid, &(u, v)) in edges.iter().enumerate() {
-                let eid = eid as u32;
-                targets[degree[u as usize] as usize] = v;
-                half_edge_ids[degree[u as usize] as usize] = eid;
-                degree[u as usize] += 1;
-                targets[degree[v as usize] as usize] = u;
-                half_edge_ids[degree[v as usize] as usize] = eid;
-                degree[v as usize] += 1;
-            }
-        }
-        Offsets::Wide(offs) => {
-            let mut cursor = offs[..n].to_vec();
-            for (eid, &(u, v)) in edges.iter().enumerate() {
-                let eid = eid as u32;
-                targets[cursor[u as usize]] = v;
-                half_edge_ids[cursor[u as usize]] = eid;
-                cursor[u as usize] += 1;
-                targets[cursor[v as usize]] = u;
-                half_edge_ids[cursor[v as usize]] = eid;
-                cursor[v as usize] += 1;
-            }
-        }
-    }
-
-    CsrGraph {
-        offsets,
-        targets,
-        half_edge_ids,
-        endpoints: edges,
+/// Scatter the half-edges of `edges` in edge order: edge `e = (u, v)`
+/// lands at the slots `next_slot(u)` and `next_slot(v)` hand out.
+fn scatter(
+    edges: &[(u32, u32)],
+    targets: &mut [u32],
+    half_edge_ids: &mut [u32],
+    mut next_slot: impl FnMut(u32) -> usize,
+) {
+    for (eid, &(u, v)) in edges.iter().enumerate() {
+        let eid = eid as u32;
+        let slot = next_slot(u);
+        targets[slot] = v;
+        half_edge_ids[slot] = eid;
+        let slot = next_slot(v);
+        targets[slot] = u;
+        half_edge_ids[slot] = eid;
     }
 }
 
 /// A `&[T]` that hands out raw write access across threads. Safety rests
 /// entirely on the caller writing disjoint index sets from each thread.
 struct SharedSlots<T>(*mut T);
+// SAFETY: the one field is a pointer into a buffer that outlives every
+// thread holding the wrapper (the threads are scoped), and the only
+// access is `write`, whose callers keep each index to one thread; `T:
+// Send` because values move into the slots from other threads.
 unsafe impl<T: Send> Send for SharedSlots<T> {}
+// SAFETY: as above — shared references only reach `write`, and writers
+// never share an index.
 unsafe impl<T: Send> Sync for SharedSlots<T> {}
 
 impl<T> SharedSlots<T> {
@@ -474,205 +429,21 @@ impl<T> SharedSlots<T> {
     }
 }
 
-/// Parallel CSR layout below this edge count is not worth the thread
-/// spawns; take the sequential path instead.
-const PARALLEL_LAYOUT_CUTOFF: usize = 1 << 14;
+/// Below this many marked edges extraction runs on one worker: the
+/// parallel layout is not worth its thread spawns.
+pub const PARALLEL_LAYOUT_CUTOFF: usize = 1 << 14;
 
-/// Parallel [`layout_sorted`]: per-thread degree counting over edge
-/// chunks, exclusive prefix sums over vertex ranges, then a scatter where
-/// each thread owns a disjoint slot range per vertex. Byte-identical to
-/// the sequential layout: thread `t` handles a contiguous chunk of the
-/// sorted edge list, so within each adjacency window the per-thread slot
-/// groups concatenate in exactly the sequential scatter order.
-fn layout_sorted_parallel(n: usize, edges: Vec<(u32, u32)>, threads: usize) -> CsrGraph {
-    let m = edges.len();
-    let threads = threads.clamp(1, m.max(1));
-    if threads == 1 || m < PARALLEL_LAYOUT_CUTOFF {
-        return layout_sorted(n, edges);
-    }
-    debug_assert!(edges.windows(2).all(|w| w[0] < w[1]), "edges not sorted");
-
-    let edge_chunk = m.div_ceil(threads);
-    // Per-thread degree counts over that thread's edge chunk.
-    let mut per_thread_degree: Vec<Vec<u32>> = std::thread::scope(|s| {
-        let handles: Vec<_> = edges
-            .chunks(edge_chunk)
-            .map(|chunk| {
-                s.spawn(move || {
-                    let mut deg = vec![0u32; n];
-                    for &(u, v) in chunk {
-                        deg[u as usize] += 1;
-                        deg[v as usize] += 1;
-                    }
-                    deg
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            // Safety: join() only errs on a worker panic — propagate it.
-            .map(|h| h.join().expect("degree-count worker panicked"))
-            .collect()
-    });
-    let t_actual = per_thread_degree.len();
-
-    // Exclusive prefix sums over vertex ranges: per-range totals first,
-    // then a short sequential prefix over ranges, then a parallel fill of
-    // `offsets` and of the per-thread start cursors. The cursor for
-    // thread t at vertex v is offsets[v] plus what threads 0..t write
-    // there, mirroring the sequential edge-order scatter.
-    let vertex_chunk = n.div_ceil(threads);
-    let ranges: Vec<(usize, usize)> = (0..n)
-        .step_by(vertex_chunk.max(1))
-        .map(|lo| (lo, (lo + vertex_chunk).min(n)))
-        .collect();
-    let range_totals: Vec<usize> = std::thread::scope(|s| {
-        let per_thread_degree = &per_thread_degree;
-        let handles: Vec<_> = ranges
-            .iter()
-            .map(|&(lo, hi)| {
-                s.spawn(move || {
-                    let mut total = 0usize;
-                    for deg in per_thread_degree {
-                        total += deg[lo..hi].iter().map(|&d| d as usize).sum::<usize>();
-                    }
-                    total
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            // Safety: join() only errs on a worker panic — propagate it.
-            .map(|h| h.join().expect("range-total worker panicked"))
-            .collect()
-    });
-    let mut range_starts = Vec::with_capacity(ranges.len() + 1);
-    range_starts.push(0usize);
-    for (i, &t) in range_totals.iter().enumerate() {
-        range_starts.push(range_starts[i] + t);
-    }
-
-    let mut offsets = vec![0usize; n + 1];
-    offsets[n] = 2 * m;
-    // Reuse the per-thread degree arrays as scatter start cursors in
-    // place: after this pass, per_thread_degree[t][v] holds the first
-    // slot thread t writes for vertex v.
-    std::thread::scope(|s| {
-        let mut offsets_rest: &mut [usize] = &mut offsets[..n];
-        let mut degree_rest: Vec<&mut [u32]> = per_thread_degree
-            .iter_mut()
-            .map(|d| d.as_mut_slice())
-            .collect();
-        for (r, &(lo, hi)) in ranges.iter().enumerate() {
-            let (offsets_here, rest) = offsets_rest.split_at_mut(hi - lo);
-            offsets_rest = rest;
-            let mut degree_here = Vec::with_capacity(t_actual);
-            degree_rest = degree_rest
-                .into_iter()
-                .map(|d| {
-                    let (here, rest) = d.split_at_mut(hi - lo);
-                    degree_here.push(here);
-                    rest
-                })
-                .collect();
-            let start = range_starts[r];
-            s.spawn(move || {
-                let mut running = start;
-                for (i, slot) in offsets_here.iter_mut().enumerate() {
-                    *slot = running;
-                    for deg in degree_here.iter_mut() {
-                        let d = deg[i];
-                        deg[i] = running as u32;
-                        running += d as usize;
-                    }
-                }
-            });
-        }
-    });
-
-    // Scatter: thread t writes exactly the slots its cursors span, which
-    // are disjoint from every other thread's by construction.
-    let mut targets = vec![0u32; 2 * m];
-    let mut half_edge_ids = vec![0u32; 2 * m];
-    {
-        let target_slots = SharedSlots(targets.as_mut_ptr());
-        let half_edge_slots = SharedSlots(half_edge_ids.as_mut_ptr());
-        std::thread::scope(|s| {
-            for (t, chunk) in edges.chunks(edge_chunk).enumerate() {
-                let mut cursor = std::mem::take(&mut per_thread_degree[t]);
-                let base_eid = (t * edge_chunk) as u32;
-                let target_slots = &target_slots;
-                let half_edge_slots = &half_edge_slots;
-                s.spawn(move || {
-                    for (i, &(u, v)) in chunk.iter().enumerate() {
-                        let eid = base_eid + i as u32;
-                        // SAFETY: cursor[u]/cursor[v] walk slot ranges
-                        // owned exclusively by this thread (see the
-                        // prefix-sum pass above) and stay within 2m.
-                        unsafe {
-                            target_slots.write(cursor[u as usize] as usize, v);
-                            half_edge_slots.write(cursor[u as usize] as usize, eid);
-                            cursor[u as usize] += 1;
-                            target_slots.write(cursor[v as usize] as usize, u);
-                            half_edge_slots.write(cursor[v as usize] as usize, eid);
-                            cursor[v as usize] += 1;
-                        }
-                    }
-                });
-            }
-        });
-    }
-
-    CsrGraph {
-        // The worker fill needs full-width slots; canonicalize after so
-        // the result is byte-identical to the sequential layout.
-        offsets: Offsets::from_wide(offsets, 2 * m),
-        targets,
-        half_edge_ids,
-        endpoints: edges,
-    }
-}
-
-/// Build the subgraph of `parent` consisting of the given marked edges,
-/// in parallel. `sorted_ids` must be strictly increasing (sorted and
-/// deduplicated) — exactly what the sharded sparsifier merge produces.
-/// Because [`EdgeId`]s are dense in lexicographic endpoint order, the
-/// mapped endpoint list is already lex-sorted and feeds straight into the
-/// parallel layout; the result is byte-identical to
-/// `parent.edge_subgraph(sorted_ids.iter().copied())`.
+/// Build the subgraph of `parent` consisting of the given marked edges
+/// with up to `threads` workers: [`CsrScratch::rebuild_from_marked`] on
+/// a fresh scratch. `sorted_ids` must be strictly increasing (sorted and
+/// deduplicated) — exactly what the sparsifier's mark stage produces. The
+/// result is byte-identical to
+/// `parent.edge_subgraph(sorted_ids.iter().copied())` for every thread
+/// count.
 pub fn from_marked_edges(parent: &CsrGraph, sorted_ids: &[EdgeId], threads: usize) -> CsrGraph {
-    debug_assert!(
-        sorted_ids.windows(2).all(|w| w[0].index() < w[1].index()),
-        "marked edge ids must be sorted and distinct"
-    );
-    let m = sorted_ids.len();
-    let threads = threads.clamp(1, m.max(1));
-    let edges: Vec<(u32, u32)> = if threads == 1 || m < PARALLEL_LAYOUT_CUTOFF {
-        sorted_ids
-            .iter()
-            .map(|&e| parent.endpoints[e.index()])
-            .collect()
-    } else {
-        let chunk = m.div_ceil(threads);
-        let mut edges = Vec::with_capacity(m);
-        std::thread::scope(|s| {
-            let mut out_rest = edges.spare_capacity_mut();
-            for ids in sorted_ids.chunks(chunk) {
-                let (out_here, rest) = out_rest.split_at_mut(ids.len());
-                out_rest = rest;
-                s.spawn(move || {
-                    for (slot, &e) in out_here.iter_mut().zip(ids) {
-                        slot.write(parent.endpoints[e.index()]);
-                    }
-                });
-            }
-        });
-        // SAFETY: every one of the m spare slots was initialized by
-        // exactly one worker above.
-        unsafe { edges.set_len(m) };
-        edges
-    };
-    layout_sorted_parallel(parent.num_vertices(), edges, threads)
+    let mut scratch = CsrScratch::new();
+    scratch.rebuild_from_marked(parent, sorted_ids, threads);
+    scratch.graph
 }
 
 /// Reusable buffers for rebuilding marked-edge subgraphs in place.
@@ -680,14 +451,16 @@ pub fn from_marked_edges(parent: &CsrGraph, sorted_ids: &[EdgeId], threads: usiz
 /// Repeated pipeline runs extract a fresh sparsifier CSR every time; with
 /// a scratch the four graph arrays plus the degree/cursor layout buffers
 /// are allocated once and reused with `clear()`-not-drop semantics, so a
-/// warm [`CsrScratch::rebuild_from_marked`] performs zero heap
-/// allocations when capacities suffice. The rebuilt graph is
-/// byte-identical to [`from_marked_edges`] on the same inputs (pinned by
-/// test).
+/// warm one-worker [`CsrScratch::rebuild_from_marked`] performs zero heap
+/// allocations when capacities suffice. [`from_marked_edges`] is the same
+/// rebuild on a fresh scratch, so both are byte-identical by
+/// construction.
 #[derive(Clone, Debug)]
 pub struct CsrScratch {
     graph: CsrGraph,
+    /// Per-vertex degrees; in the narrow repr, then the scatter cursors.
     degree: Vec<u32>,
+    /// Full-width scatter cursors, used by the wide repr only.
     cursor: Vec<usize>,
 }
 
@@ -738,57 +511,245 @@ impl CsrScratch {
         self.cursor.clear();
     }
 
-    /// Store a graph built elsewhere (the parallel extraction path, which
-    /// allocates its own arrays) so [`CsrScratch::graph`] is uniform.
-    pub fn replace(&mut self, g: CsrGraph) -> &CsrGraph {
-        self.graph = g;
-        &self.graph
-    }
-
-    /// Sequential in-place equivalent of [`from_marked_edges`]: rebuild
-    /// the subgraph of `parent` given by the strictly increasing
-    /// `sorted_ids` into this scratch's buffers, reusing their capacity.
-    pub fn rebuild_from_marked(&mut self, parent: &CsrGraph, sorted_ids: &[EdgeId]) -> &CsrGraph {
+    /// Rebuild the subgraph of `parent` given by the strictly increasing
+    /// `sorted_ids` into this scratch's buffers, reusing their capacity,
+    /// with up to `threads` workers. The one extraction entry point: the
+    /// output is byte-identical for every thread count, and below
+    /// [`PARALLEL_LAYOUT_CUTOFF`] marked edges it runs on one worker.
+    pub fn rebuild_from_marked(
+        &mut self,
+        parent: &CsrGraph,
+        sorted_ids: &[EdgeId],
+        threads: usize,
+    ) -> &CsrGraph {
         debug_assert!(
             sorted_ids.windows(2).all(|w| w[0].index() < w[1].index()),
             "marked edge ids must be sorted and distinct"
         );
-        let n = parent.num_vertices();
         let m = sorted_ids.len();
+        let threads = if m < PARALLEL_LAYOUT_CUTOFF {
+            1
+        } else {
+            threads.clamp(1, m)
+        };
+        if threads == 1 {
+            // Edge ids are dense in lexicographic endpoint order, so the
+            // mapped endpoint list is already lex-sorted.
+            let endpoints = &mut self.graph.endpoints;
+            endpoints.clear();
+            endpoints.extend(sorted_ids.iter().map(|&e| parent.endpoints[e.index()]));
+            self.layout(parent.num_vertices());
+        } else {
+            self.extract_parallel(parent, sorted_ids, threads);
+        }
+        &self.graph
+    }
+
+    /// Lay out the CSR arrays on `n` vertices from the lex-sorted,
+    /// deduplicated endpoint list already in the graph (`u < v` per
+    /// edge). Because the list is globally sorted, scattering the
+    /// half-edges in edge order leaves every adjacency window already
+    /// sorted by neighbor id: for a vertex `v`, all edges `(a, v)` with
+    /// `a < v` precede all edges `(v, b)` with `b > v`, each group in
+    /// ascending order. Every one-worker build lands here.
+    fn layout(&mut self, n: usize) {
         let CsrGraph {
             offsets,
             targets,
             half_edge_ids,
             endpoints,
         } = &mut self.graph;
-
-        endpoints.clear();
-        endpoints.extend(sorted_ids.iter().map(|&e| parent.endpoints[e.index()]));
-
-        self.degree.clear();
-        self.degree.resize(n, 0);
+        let m = endpoints.len();
+        debug_assert!(
+            endpoints.windows(2).all(|w| w[0] < w[1]),
+            "edges not sorted"
+        );
+        zeroed(&mut self.degree, n);
         for &(u, v) in endpoints.iter() {
             self.degree[u as usize] += 1;
             self.degree[v as usize] += 1;
         }
         offsets.rebuild_from_degrees(&self.degree, 2 * m);
-
-        targets.clear();
-        targets.resize(2 * m, 0);
-        half_edge_ids.clear();
-        half_edge_ids.resize(2 * m, 0);
-        self.cursor.clear();
-        self.cursor.extend((0..n).map(|v| offsets.get(v)));
-        for (eid, &(u, v)) in endpoints.iter().enumerate() {
-            let eid = eid as u32;
-            targets[self.cursor[u as usize]] = v;
-            half_edge_ids[self.cursor[u as usize]] = eid;
-            self.cursor[u as usize] += 1;
-            targets[self.cursor[v as usize]] = u;
-            half_edge_ids[self.cursor[v as usize]] = eid;
-            self.cursor[v as usize] += 1;
+        zeroed(targets, 2 * m);
+        zeroed(half_edge_ids, 2 * m);
+        match offsets {
+            Offsets::Narrow(offs) => {
+                // Cursors fit in the degree array: reuse it instead of a
+                // usize cursor vector (the narrow layout keeps the whole
+                // build at 4 bytes per vertex of working state).
+                let cursor = &mut self.degree;
+                cursor.copy_from_slice(&offs[..n]);
+                scatter(endpoints, targets, half_edge_ids, |v| {
+                    cursor[v as usize] += 1;
+                    cursor[v as usize] as usize - 1
+                });
+            }
+            Offsets::Wide(offs) => {
+                let cursor = &mut self.cursor;
+                cursor.clear();
+                cursor.extend_from_slice(&offs[..n]);
+                scatter(endpoints, targets, half_edge_ids, |v| {
+                    cursor[v as usize] += 1;
+                    cursor[v as usize] - 1
+                });
+            }
         }
-        &self.graph
+    }
+
+    /// [`CsrScratch::rebuild_from_marked`] on `threads ≥ 2` workers: each
+    /// thread maps a contiguous chunk of the marked ids to endpoints and
+    /// counts that chunk's degrees, then exclusive prefix sums run over
+    /// vertex ranges, then a scatter where each thread owns a disjoint
+    /// slot range per vertex. Byte-identical to the sequential
+    /// [`CsrScratch::layout`]: thread `t` handles a contiguous chunk of
+    /// the sorted edge list, so within each adjacency window the
+    /// per-thread slot groups concatenate in exactly the sequential
+    /// scatter order.
+    fn extract_parallel(&mut self, parent: &CsrGraph, sorted_ids: &[EdgeId], threads: usize) {
+        let n = parent.num_vertices();
+        let CsrGraph {
+            offsets: graph_offsets,
+            targets,
+            half_edge_ids,
+            endpoints,
+        } = &mut self.graph;
+        let m = sorted_ids.len();
+        let edge_chunk = m.div_ceil(threads);
+        zeroed(endpoints, m);
+        // Endpoints plus per-thread degree counts over each edge chunk.
+        let mut per_thread_degree: Vec<Vec<u32>> = std::thread::scope(|s| {
+            let handles: Vec<_> = endpoints
+                .chunks_mut(edge_chunk)
+                .zip(sorted_ids.chunks(edge_chunk))
+                .map(|(chunk, ids)| {
+                    s.spawn(move || {
+                        let mut deg = vec![0u32; n];
+                        for (slot, &e) in chunk.iter_mut().zip(ids) {
+                            let (u, v) = parent.endpoints[e.index()];
+                            *slot = (u, v);
+                            deg[u as usize] += 1;
+                            deg[v as usize] += 1;
+                        }
+                        deg
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                // Safety: join() only errs on a worker panic — propagate it.
+                .map(|h| h.join().expect("degree-count worker panicked"))
+                .collect()
+        });
+        let edges: &[(u32, u32)] = endpoints;
+        let t_actual = per_thread_degree.len();
+
+        // Exclusive prefix sums over vertex ranges: per-range totals first,
+        // then a short sequential prefix over ranges, then a parallel fill
+        // of `offsets` and of the per-thread start cursors. The cursor for
+        // thread t at vertex v is offsets[v] plus what threads 0..t write
+        // there, mirroring the sequential edge-order scatter.
+        let vertex_chunk = n.div_ceil(threads);
+        let ranges: Vec<(usize, usize)> = (0..n)
+            .step_by(vertex_chunk.max(1))
+            .map(|lo| (lo, (lo + vertex_chunk).min(n)))
+            .collect();
+        let range_totals: Vec<usize> = std::thread::scope(|s| {
+            let per_thread_degree = &per_thread_degree;
+            let handles: Vec<_> = ranges
+                .iter()
+                .map(|&(lo, hi)| {
+                    s.spawn(move || {
+                        let mut total = 0usize;
+                        for deg in per_thread_degree {
+                            total += deg[lo..hi].iter().map(|&d| d as usize).sum::<usize>();
+                        }
+                        total
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                // Safety: join() only errs on a worker panic — propagate it.
+                .map(|h| h.join().expect("range-total worker panicked"))
+                .collect()
+        });
+        let mut range_starts = Vec::with_capacity(ranges.len() + 1);
+        range_starts.push(0usize);
+        for (i, &t) in range_totals.iter().enumerate() {
+            range_starts.push(range_starts[i] + t);
+        }
+
+        let mut offsets = vec![0usize; n + 1];
+        offsets[n] = 2 * m;
+        // Reuse the per-thread degree arrays as scatter start cursors in
+        // place: after this pass, per_thread_degree[t][v] holds the first
+        // slot thread t writes for vertex v.
+        std::thread::scope(|s| {
+            let mut offsets_rest: &mut [usize] = &mut offsets[..n];
+            let mut degree_rest: Vec<&mut [u32]> = per_thread_degree
+                .iter_mut()
+                .map(|d| d.as_mut_slice())
+                .collect();
+            for (r, &(lo, hi)) in ranges.iter().enumerate() {
+                let (offsets_here, rest) = offsets_rest.split_at_mut(hi - lo);
+                offsets_rest = rest;
+                let mut degree_here = Vec::with_capacity(t_actual);
+                degree_rest = degree_rest
+                    .into_iter()
+                    .map(|d| {
+                        let (here, rest) = d.split_at_mut(hi - lo);
+                        degree_here.push(here);
+                        rest
+                    })
+                    .collect();
+                let start = range_starts[r];
+                s.spawn(move || {
+                    let mut running = start;
+                    for (i, slot) in offsets_here.iter_mut().enumerate() {
+                        *slot = running;
+                        for deg in degree_here.iter_mut() {
+                            let d = deg[i];
+                            deg[i] = running as u32;
+                            running += d as usize;
+                        }
+                    }
+                });
+            }
+        });
+
+        // Scatter: thread t writes exactly the slots its cursors span,
+        // which are disjoint from every other thread's by construction.
+        zeroed(targets, 2 * m);
+        zeroed(half_edge_ids, 2 * m);
+        let target_slots = SharedSlots(targets.as_mut_ptr());
+        let half_edge_slots = SharedSlots(half_edge_ids.as_mut_ptr());
+        std::thread::scope(|s| {
+            for (t, chunk) in edges.chunks(edge_chunk).enumerate() {
+                let mut cursor = std::mem::take(&mut per_thread_degree[t]);
+                let base_eid = (t * edge_chunk) as u32;
+                let target_slots = &target_slots;
+                let half_edge_slots = &half_edge_slots;
+                s.spawn(move || {
+                    for (i, &(u, v)) in chunk.iter().enumerate() {
+                        let eid = base_eid + i as u32;
+                        // SAFETY: cursor[u]/cursor[v] walk slot ranges
+                        // owned exclusively by this thread (see the
+                        // prefix-sum pass above) and stay within 2m.
+                        unsafe {
+                            target_slots.write(cursor[u as usize] as usize, v);
+                            half_edge_slots.write(cursor[u as usize] as usize, eid);
+                            cursor[u as usize] += 1;
+                            target_slots.write(cursor[v as usize] as usize, u);
+                            half_edge_slots.write(cursor[v as usize] as usize, eid);
+                            cursor[v as usize] += 1;
+                        }
+                    }
+                });
+            }
+        });
+        // The worker fill needs full-width slots; canonicalize after so
+        // the result is byte-identical to the sequential layout.
+        *graph_offsets = Offsets::from_wide(offsets, 2 * m);
     }
 }
 
@@ -906,14 +867,6 @@ mod tests {
     }
 
     #[test]
-    fn induced_subgraph() {
-        let g = triangle_plus_pendant();
-        let h = g.induced_subgraph(&[true, true, true, false]);
-        assert_eq!(h.num_edges(), 3);
-        assert_eq!(h.degree(VertexId(3)), 0);
-    }
-
-    #[test]
     fn neighbor_ith_matches_iterator() {
         let g = triangle_plus_pendant();
         for v in 0..4 {
@@ -944,54 +897,55 @@ mod tests {
         edges
     }
 
+    /// Every edge id of `g`, the marked set that extracts `g` itself.
+    fn all_ids(g: &CsrGraph) -> Vec<EdgeId> {
+        g.edges().map(|(e, _, _)| e).collect()
+    }
+
     #[test]
-    fn parallel_build_is_byte_identical_to_sequential() {
+    fn parallel_extraction_is_byte_identical_to_sequential_build() {
         let n = 200; // C(200, 2) = 19 900 > PARALLEL_LAYOUT_CUTOFF
         let edges = dense_edges(n);
         assert!(edges.len() >= PARALLEL_LAYOUT_CUTOFF);
         let mut seq = GraphBuilder::new(n);
         seq.extend_edges(edges.iter().copied());
         let seq = seq.build();
+        // The parent is built from a scrambled order with duplicates to
+        // exercise the builder's sort + dedup path too.
+        let mut scrambled = GraphBuilder::new(n);
+        scrambled.extend_edges(edges.iter().rev().copied());
+        scrambled.extend_edges(edges.iter().skip(7).step_by(13).copied());
+        let parent = scrambled.build();
         for threads in [1usize, 2, 3, 4, 8] {
-            let mut par = GraphBuilder::new(n);
-            // Insert in a scrambled order with duplicates to exercise the
-            // sort + dedup path too.
-            par.extend_edges(edges.iter().rev().copied());
-            par.extend_edges(edges.iter().skip(7).step_by(13).copied());
-            let par = par.build_parallel(threads);
-            assert_byte_identical(&seq, &par);
+            assert_byte_identical(
+                &seq,
+                &from_marked_edges(&parent, &all_ids(&parent), threads),
+            );
         }
     }
 
     #[test]
-    fn parallel_build_handles_tiny_and_empty_graphs() {
+    fn extraction_handles_tiny_and_empty_graphs() {
         for threads in [1usize, 2, 8] {
-            let empty = GraphBuilder::new(0).build_parallel(threads);
+            let empty = from_marked_edges(&GraphBuilder::new(0).build(), &[], threads);
             assert_eq!(empty.num_vertices(), 0);
             assert_eq!(empty.num_edges(), 0);
-            let singleton = GraphBuilder::new(1).build_parallel(threads);
+            let singleton = from_marked_edges(&GraphBuilder::new(1).build(), &[], threads);
             assert_eq!(singleton.num_vertices(), 1);
             assert_eq!(singleton.degree(VertexId(0)), 0);
-            let mut b = GraphBuilder::new(4);
-            b.extend_edges([(0, 1), (1, 2), (2, 0), (2, 3)]);
-            assert_byte_identical(&triangle_plus_pendant(), &b.build_parallel(threads));
+            let g = triangle_plus_pendant();
+            assert_byte_identical(&g, &from_marked_edges(&g, &all_ids(&g), threads));
         }
     }
 
     #[test]
-    fn parallel_build_on_star_hub() {
+    fn parallel_extraction_on_star_hub() {
         // One huge-degree hub: the degenerate load-balance case for
         // per-vertex-range prefix sums.
         let n = 20_000;
-        let edges: Vec<(usize, usize)> = (1..n).map(|v| (0, v)).collect();
-        let mut seq = GraphBuilder::new(n);
-        seq.extend_edges(edges.iter().copied());
-        let seq = seq.build();
+        let seq = from_edges(n, (1..n).map(|v| (0, v)));
         for threads in [2usize, 5, 8] {
-            let mut par = GraphBuilder::new(n);
-            par.extend_edges(edges.iter().copied());
-            let par = par.build_parallel(threads);
-            assert_byte_identical(&seq, &par);
+            assert_byte_identical(&seq, &from_marked_edges(&seq, &all_ids(&seq), threads));
         }
         assert_eq!(seq.degree(VertexId(0)), n - 1);
     }
@@ -1022,8 +976,7 @@ mod tests {
             let none = from_marked_edges(&g, &[], threads);
             assert_eq!(none.num_edges(), 0);
             assert_eq!(none.num_vertices(), 4);
-            let all: Vec<EdgeId> = g.edges().map(|(e, _, _)| e).collect();
-            assert_byte_identical(&g, &from_marked_edges(&g, &all, threads));
+            assert_byte_identical(&g, &from_marked_edges(&g, &all_ids(&g), threads));
         }
     }
 
@@ -1038,19 +991,23 @@ mod tests {
             .map(EdgeId::new)
             .collect();
         let reference = from_marked_edges(&g, &keep, 1);
-        let mut scratch = CsrScratch::new();
-        // Warm reuse: rebuild repeatedly (and on different subsets) into
-        // the same scratch; every rebuild must match the fresh build.
-        for _ in 0..2 {
-            assert_byte_identical(&reference, scratch.rebuild_from_marked(&g, &keep));
-        }
         let smaller: Vec<EdgeId> = keep.iter().copied().step_by(3).collect();
-        assert_byte_identical(
-            &from_marked_edges(&g, &smaller, 1),
-            scratch.rebuild_from_marked(&g, &smaller),
-        );
-        // And back up to the larger subset after the smaller one.
-        assert_byte_identical(&reference, scratch.rebuild_from_marked(&g, &keep));
+        let smaller_reference = from_marked_edges(&g, &smaller, 1);
+        let mut scratch = CsrScratch::new();
+        // Warm reuse: rebuild repeatedly (and on different subsets, one
+        // and several workers) into the same scratch; every rebuild must
+        // match the fresh one-worker build.
+        for threads in [1usize, 2, 4, 1] {
+            for _ in 0..2 {
+                assert_byte_identical(&reference, scratch.rebuild_from_marked(&g, &keep, threads));
+            }
+            assert_byte_identical(
+                &smaller_reference,
+                scratch.rebuild_from_marked(&g, &smaller, threads),
+            );
+            // And back up to the larger subset after the smaller one.
+            assert_byte_identical(&reference, scratch.rebuild_from_marked(&g, &keep, threads));
+        }
         assert!(scratch.capacity_bytes() > 0);
     }
 
@@ -1058,17 +1015,13 @@ mod tests {
     fn scratch_handles_empty_and_tiny_graphs() {
         let mut scratch = CsrScratch::new();
         let g = triangle_plus_pendant();
-        let rebuilt = scratch.rebuild_from_marked(&g, &[]);
+        let rebuilt = scratch.rebuild_from_marked(&g, &[], 1);
         assert_eq!(rebuilt.num_vertices(), 4);
         assert_eq!(rebuilt.num_edges(), 0);
-        let all: Vec<EdgeId> = g.edges().map(|(e, _, _)| e).collect();
-        assert_byte_identical(&g, scratch.rebuild_from_marked(&g, &all));
+        assert_byte_identical(&g, scratch.rebuild_from_marked(&g, &all_ids(&g), 1));
         scratch.clear();
         assert_eq!(scratch.graph().num_vertices(), 0);
-        assert_byte_identical(&g, scratch.rebuild_from_marked(&g, &all));
-        // `replace` stores an externally built graph verbatim.
-        let h = from_marked_edges(&g, &all, 1);
-        assert_byte_identical(&g, scratch.replace(h));
+        assert_byte_identical(&g, scratch.rebuild_from_marked(&g, &all_ids(&g), 2));
     }
 
     #[test]
@@ -1096,15 +1049,22 @@ mod tests {
         assert_eq!(g.memory_bytes(), CsrGraph::projected_memory_bytes(n, m));
     }
 
+    /// Exclusive prefix sums of `degree`, in the repr `two_m` dictates.
+    fn offsets_from_degrees(degree: &[u32], two_m: usize) -> Offsets {
+        let mut out = Offsets::Narrow(Vec::new());
+        out.rebuild_from_degrees(degree, two_m);
+        out
+    }
+
     #[test]
     fn offsets_repr_is_a_function_of_half_edge_count() {
         let degree = [2u32, 1, 1];
         assert!(matches!(
-            Offsets::from_degrees(&degree, 4),
+            offsets_from_degrees(&degree, 4),
             Offsets::Narrow(_)
         ));
         // Past the u32 boundary the same degrees take the wide repr.
-        let wide = Offsets::from_degrees(&degree, usize::MAX);
+        let wide = offsets_from_degrees(&degree, usize::MAX);
         assert!(matches!(wide, Offsets::Wide(_)));
         assert_eq!(
             (0..4).map(|i| wide.get(i)).collect::<Vec<_>>(),
@@ -1112,13 +1072,13 @@ mod tests {
         );
         // from_wide canonicalizes parallel-layout output to narrow.
         let canon = Offsets::from_wide(vec![0, 2, 3, 4], 4);
-        assert_eq!(canon, Offsets::from_degrees(&degree, 4));
+        assert_eq!(canon, offsets_from_degrees(&degree, 4));
     }
 
     #[test]
     fn offsets_rebuild_is_allocation_free_when_warm() {
         let degree = [2u32, 1, 1];
-        let mut offs = Offsets::from_degrees(&degree, 4);
+        let mut offs = offsets_from_degrees(&degree, 4);
         let cap = offs.capacity_bytes();
         for _ in 0..3 {
             offs.rebuild_from_degrees(&degree, 4);
