@@ -205,5 +205,10 @@ fn main() {
             )
         }
     );
+    let branches = scratch.branch_counts();
+    println!(
+        "delta solves through the sweep arena: passthrough {}, marking {}",
+        branches.passthrough, branches.marking
+    );
     std::process::exit(i32::from(violations > 0));
 }

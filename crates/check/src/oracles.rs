@@ -56,6 +56,7 @@ use rand::SeedableRng;
 use sparsimatch_core::backend::{Backend, BackendKind};
 use sparsimatch_core::edcs::{build_edcs, build_edcs_streamed, edcs_violation, EdcsParams};
 use sparsimatch_core::params::SparsifierParams;
+use sparsimatch_core::pipeline::stage_params;
 use sparsimatch_core::scratch::PipelineScratch;
 use sparsimatch_core::solomon::degree_cap_for;
 use sparsimatch_core::sparsifier::build_sparsifier;
@@ -604,6 +605,26 @@ fn pipeline_fingerprint(r: &sparsimatch_core::pipeline::PipelineResult) -> Pipel
 /// Thread counts the scratch oracle replays every instance at.
 const SCRATCH_THREADS: [usize; 3] = [1, 2, 4];
 
+/// The Δ of the identity oracles' marking arm.
+const MARKING_ARM_DELTA: usize = 1;
+
+/// The parameter arms the identity oracles (scratch, stream) run: the
+/// instance's own parameters, plus a `marking` arm at Δ =
+/// [`MARKING_ARM_DELTA`] whenever that arm's stage mark cap is below the
+/// graph's largest degree. At the default sizing nearly every small
+/// instance has `G_Δ = G`, so [`Backend::solve`] passes it through; the
+/// marking arm keeps the other branch under the same byte-identity
+/// checks. Paths, cycles and sparse draws stay within every cap and run
+/// the default arm alone.
+fn identity_arms(inst: &CheckInstance, g: &CsrGraph) -> Vec<(&'static str, SparsifierParams)> {
+    let mut arms = vec![("default", inst.params())];
+    let marking = SparsifierParams::with_delta(inst.beta, inst.eps, MARKING_ARM_DELTA);
+    if marking != inst.params() && stage_params(&marking).mark_cap() < g.max_degree() {
+        arms.push(("marking", marking));
+    }
+    arms
+}
+
 fn check_scratch(
     inst: &CheckInstance,
     cfg: &CheckConfig,
@@ -611,47 +632,50 @@ fn check_scratch(
 ) -> Option<Violation> {
     let _ = cfg; // the identity invariant has no tunable bound
     let g: CsrGraph = inst.graph();
-    let delta = Backend::Delta(inst.params());
-    for threads in SCRATCH_THREADS {
-        let cold = match delta.solve(
-            &g,
-            inst.algo_seed,
-            threads,
-            None,
-            &mut PipelineScratch::new(),
-        ) {
-            Ok(r) => pipeline_fingerprint(r),
-            Err(e) => {
-                return Some(Violation::new(
-                    "pipeline-error",
-                    format!("cold pipeline rejected {threads} threads: {e}"),
-                ))
-            }
-        };
-        // Two warm runs through the (already dirty) shared arena: the
-        // first may still grow buffers, the second is pure steady state.
-        for pass in ["warm", "steady"] {
-            let warm = match delta.solve(&g, inst.algo_seed, threads, None, scratch) {
+    for (arm, params) in identity_arms(inst, &g) {
+        let delta = Backend::Delta(params);
+        for threads in SCRATCH_THREADS {
+            let cold = match delta.solve(
+                &g,
+                inst.algo_seed,
+                threads,
+                None,
+                &mut PipelineScratch::new(),
+            ) {
                 Ok(r) => pipeline_fingerprint(r),
                 Err(e) => {
                     return Some(Violation::new(
                         "pipeline-error",
-                        format!("scratch pipeline rejected {threads} threads: {e}"),
+                        format!("cold pipeline ({arm} arm) rejected {threads} threads: {e}"),
                     ))
                 }
             };
-            if warm != cold {
-                return Some(Violation::new(
-                    "scratch-identity",
-                    format!(
-                        "{pass} scratch run diverged from the cold pipeline at {threads} \
-                         threads: {} vs {} matched pairs (family {}, n = {})",
-                        warm.0.len(),
-                        cold.0.len(),
-                        inst.family,
-                        inst.n
-                    ),
-                ));
+            // Two warm runs through the (already dirty) shared arena: the
+            // first may still grow buffers, the second is pure steady
+            // state.
+            for pass in ["warm", "steady"] {
+                let warm = match delta.solve(&g, inst.algo_seed, threads, None, scratch) {
+                    Ok(r) => pipeline_fingerprint(r),
+                    Err(e) => {
+                        return Some(Violation::new(
+                            "pipeline-error",
+                            format!("scratch pipeline ({arm} arm) rejected {threads} threads: {e}"),
+                        ))
+                    }
+                };
+                if warm != cold {
+                    return Some(Violation::new(
+                        "scratch-identity",
+                        format!(
+                            "{pass} scratch run diverged from the cold pipeline at {threads} \
+                             threads ({arm} arm): {} vs {} matched pairs (family {}, n = {})",
+                            warm.0.len(),
+                            cold.0.len(),
+                            inst.family,
+                            inst.n
+                        ),
+                    ));
+                }
             }
         }
     }
@@ -665,65 +689,67 @@ fn check_stream(
 ) -> Option<Violation> {
     let _ = cfg; // byte identity has no tunable bound
     let mut g: CsrGraph = inst.graph();
-    let delta = Backend::Delta(inst.params());
-    // In-memory reference through the shared warm arena — the scratch
-    // oracle already certifies this equals the cold path.
-    let reference = match delta.solve(&g, inst.algo_seed, 1, None, scratch) {
-        Ok(r) => pipeline_fingerprint(r),
-        Err(e) => {
-            return Some(Violation::new(
-                "pipeline-error",
-                format!("in-memory pipeline rejected: {e}"),
-            ))
-        }
-    };
     let (n, m) = (g.num_vertices(), g.num_edges());
-    let (streamed, report) =
-        match delta.solve_streamed(&mut g, inst.algo_seed, &RetryPolicy::none(), None) {
-            Ok(r) => r,
+    for (arm, params) in identity_arms(inst, &g) {
+        let delta = Backend::Delta(params);
+        // In-memory reference through the shared warm arena — the scratch
+        // oracle already certifies this equals the cold path.
+        let reference = match delta.solve(&g, inst.algo_seed, 1, None, scratch) {
+            Ok(r) => pipeline_fingerprint(r),
             Err(e) => {
                 return Some(Violation::new(
-                    "stream-error",
-                    format!("streamed pipeline rejected its own CSR stream: {e}"),
+                    "pipeline-error",
+                    format!("in-memory pipeline ({arm} arm) rejected: {e}"),
                 ))
             }
         };
-    if pipeline_fingerprint(&streamed) != reference {
-        return Some(Violation::new(
-            "stream-identity",
-            format!(
-                "streamed pipeline diverged from the in-memory one: {} vs {} matched pairs \
-                 (family {}, n = {})",
-                streamed.matching.len(),
-                reference.0.len(),
-                inst.family,
-                inst.n
-            ),
-        ));
-    }
-    // The report's own invariants: the sparsifier fits inside the peak,
-    // and the stream side did exactly two passes.
-    if report.sparsifier_bytes > report.peak_resident_bytes {
-        return Some(Violation::new(
-            "stream-accounting",
-            format!(
-                "sparsifier {} B exceeds the reported resident peak {} B",
-                report.sparsifier_bytes, report.peak_resident_bytes
-            ),
-        ));
-    }
-    if report.edges_scanned != 4 * m as u64 || report.probes.degree_probes != 2 * n as u64 {
-        return Some(Violation::new(
-            "stream-accounting",
-            format!(
-                "stream-side work off contract: {} half-edge visits (want {}), {} degree \
-                 probes (want {})",
-                report.edges_scanned,
-                4 * m,
-                report.probes.degree_probes,
-                2 * n
-            ),
-        ));
+        let (streamed, report) =
+            match delta.solve_streamed(&mut g, inst.algo_seed, &RetryPolicy::none(), None) {
+                Ok(r) => r,
+                Err(e) => {
+                    return Some(Violation::new(
+                        "stream-error",
+                        format!("streamed pipeline ({arm} arm) rejected its own CSR stream: {e}"),
+                    ))
+                }
+            };
+        if pipeline_fingerprint(&streamed) != reference {
+            return Some(Violation::new(
+                "stream-identity",
+                format!(
+                    "streamed pipeline diverged from the in-memory one ({arm} arm): {} vs {} \
+                     matched pairs (family {}, n = {})",
+                    streamed.matching.len(),
+                    reference.0.len(),
+                    inst.family,
+                    inst.n
+                ),
+            ));
+        }
+        // The report's own invariants: the sparsifier fits inside the
+        // peak, and the stream side did exactly two passes.
+        if report.sparsifier_bytes > report.peak_resident_bytes {
+            return Some(Violation::new(
+                "stream-accounting",
+                format!(
+                    "sparsifier {} B exceeds the reported resident peak {} B ({arm} arm)",
+                    report.sparsifier_bytes, report.peak_resident_bytes
+                ),
+            ));
+        }
+        if report.edges_scanned != 4 * m as u64 || report.probes.degree_probes != 2 * n as u64 {
+            return Some(Violation::new(
+                "stream-accounting",
+                format!(
+                    "stream-side work off contract ({arm} arm): {} half-edge visits (want {}), \
+                     {} degree probes (want {})",
+                    report.edges_scanned,
+                    4 * m,
+                    report.probes.degree_probes,
+                    2 * n
+                ),
+            ));
+        }
     }
     None
 }

@@ -26,17 +26,20 @@
 //!   randomness-free, but construction reads every edge — the opposite
 //!   trade-off from `G_Δ`'s sublinear randomized marking.
 //!
-//! All three stages honor the requested thread count and are
-//! deterministic for a fixed seed: the output is byte-identical for any
-//! accepted thread count (marking uses per-vertex seeded RNG streams,
-//! extraction produces the sequential CSR layout, and the parallel greedy
-//! computes the lexicographically-first maximal matching).
+//! Mark and extract run on the requested thread count, clamped to the
+//! host's hardware threads; the match stage's greedy is one sequential
+//! scan. Every stage is deterministic for a fixed seed, so the output is
+//! byte-identical for any accepted thread count (marking uses per-vertex
+//! seeded RNG streams and extraction produces the sequential CSR
+//! layout).
 
 use crate::edcs::{build_edcs, build_edcs_streamed, mark_edcs_into, EdcsParams};
 use crate::params::SparsifierParams;
 use crate::pipeline::{match_stage, stage_eps, stage_params, PipelineResult};
 use crate::scratch::PipelineScratch;
-use crate::sparsifier::{build_sparsifier_parallel, mark_edges, ThreadCountError, MAX_THREADS};
+use crate::sparsifier::{
+    build_sparsifier_parallel, mark_edges, MarkSummary, ThreadCountError, MAX_THREADS,
+};
 use crate::stream_build::{
     build_sparsifier_streamed, RetryPolicy, StreamBuildError, StreamBuildReport,
 };
@@ -60,36 +63,23 @@ const MARK_PARALLEL_CUTOFF: usize = 1 << 17;
 /// [`CsrScratch::rebuild_from_marked`]: sparsimatch_graph::csr::CsrScratch::rebuild_from_marked
 const EXTRACT_PARALLEL_CUTOFF: usize = PARALLEL_LAYOUT_CUTOFF;
 
-/// Below this many *sparsifier* edges the match stage runs sequentially.
-/// The committed bench baseline showed the parallel greedy's local-minima
-/// rounds an order of magnitude slower than the sequential scan on an
-/// `O(n·Δ)`-sized sparsifier (clique family: 235µs at one thread vs 2.6ms
-/// at two), so small extracted graphs always take the sequential path.
-const MATCH_PARALLEL_CUTOFF: usize = 1 << 17;
-
-/// Whether this host can run more than one worker at once (cached). On a
-/// single-core host every stage takes its sequential path regardless of
-/// the requested thread count — the output is byte-identical either way,
-/// so this is purely a latency decision.
-fn host_has_parallelism() -> bool {
-    static CACHE: OnceLock<bool> = OnceLock::new();
-    *CACHE.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(|p| p.get() > 1)
-            .unwrap_or(false)
-    })
+/// The host's hardware thread count (cached; 1 when it cannot be read).
+fn host_threads() -> usize {
+    static CACHE: OnceLock<usize> = OnceLock::new();
+    *CACHE.get_or_init(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
 }
 
-/// Adaptive dispatch, the one place every stage of [`Backend::solve`]
-/// picks its worker count: the count a stage should actually use for
-/// `work_items` units of work, given the caller asked for `requested`
-/// threads. Every stage is thread-count invariant, so falling back to one
-/// worker never changes the output — only the wall clock.
+/// Adaptive dispatch, the one place the mark and extract stages of
+/// [`Backend::solve`] pick their worker count: the count a stage should
+/// actually use for `work_items` units of work, given the caller asked
+/// for `requested` threads — never more than the host runs at once, and
+/// one below `cutoff`. Every stage is thread-count invariant, so the
+/// count changes only the wall clock, never the output.
 fn stage_threads(requested: usize, work_items: usize, cutoff: usize) -> usize {
-    if requested == 1 || !host_has_parallelism() || work_items < cutoff {
+    if work_items < cutoff {
         1
     } else {
-        requested
+        requested.min(host_threads())
     }
 }
 
@@ -256,10 +246,22 @@ impl Backend {
     /// `&mut PipelineScratch::new()` and clones the result.
     ///
     /// The result depends only on `seed` — never on `threads`, which
-    /// sets the worker count for every `delta` stage (the EDCS fixpoint
-    /// is sequential: its pass order is the determinism contract).
-    /// Rejects `threads` outside `1..=`[`MAX_THREADS`] with a
-    /// [`ThreadCountError`].
+    /// sets the worker count for the `delta` mark and extract stages
+    /// (the EDCS fixpoint is sequential: its pass order is the
+    /// determinism contract). Rejects `threads` outside
+    /// `1..=`[`MAX_THREADS`] with a [`ThreadCountError`].
+    ///
+    /// **Passthrough.** `delta`'s mark stage starts with one degree pass
+    /// (the ledger's first `n` degree probes; at one worker it also sizes
+    /// the sampler). When the largest degree is at most the stage
+    /// `mark_cap`, every vertex would mark its whole neighborhood
+    /// (Theorem 2.1's `deg ≤ 2Δ` rule), so `G_Δ = G`: the solve skips
+    /// marking and extraction and matches on `g` itself. The result is
+    /// the one the marking path reports — the sampler keeps `0..deg` and
+    /// draws nothing at such degrees, and the rebuilt CSR would equal `g`
+    /// because every [`CsrGraph`] is laid out canonically from its sorted
+    /// endpoints. [`PipelineScratch::branch_counts`] records which branch
+    /// each solve took.
     ///
     /// With a `meter`, adjacency probes, sparsifier size, and
     /// augmentation work land under the shared [`sparsimatch_obs::keys`]
@@ -293,28 +295,38 @@ impl Backend {
             edcs_in,
             edcs_deg,
             result,
+            branches,
             ..
         } = &mut *scratch;
 
         // Stage 1: mark — the only backend-specific step. It fills the
-        // sorted kept edge ids, the sparsifier stats, and the probes, and
-        // fixes the worker count the later stages run with.
+        // sorted kept edge ids (unless `G_Δ = G`), the sparsifier stats,
+        // and the probes, and fixes the worker count the extract stage
+        // runs with.
         let mark_start = Instant::now();
-        let (threads, sampler_work) = match self {
+        let (threads, sampler_work, passthrough) = match self {
             Backend::Delta(params) => {
-                let workers = stage_threads(threads, g.num_edges(), MARK_PARALLEL_CUTOFF);
-                let marks = mark_edges(
-                    g,
-                    &stage_params(params),
-                    seed,
-                    workers,
-                    sampler,
-                    indices,
-                    ids,
-                );
+                let params = stage_params(params);
+                let max_degree = g.max_degree();
+                let passthrough = max_degree <= params.mark_cap();
+                let marks = if passthrough {
+                    branches.passthrough += 1;
+                    MarkSummary::keep_all(g, &params)
+                } else {
+                    branches.marking += 1;
+                    let workers = stage_threads(threads, g.num_edges(), MARK_PARALLEL_CUTOFF);
+                    if workers == 1 {
+                        sampler.ensure_capacity(max_degree);
+                    }
+                    mark_edges(g, &params, seed, workers, sampler, indices, ids)
+                };
                 result.sparsifier = marks.stats;
                 result.probes = marks.probes(g.num_vertices());
-                (threads, Some((marks.rng_draws, marks.overlay_writes)))
+                (
+                    threads,
+                    Some((marks.rng_draws, marks.overlay_writes)),
+                    passthrough,
+                )
             }
             Backend::Edcs { params, .. } => {
                 let stats = mark_edcs_into(g, params, edcs_in, edcs_deg, ids);
@@ -325,29 +337,27 @@ impl Backend {
                     degree_probes: 0,
                     neighbor_probes: stats.passes as u64 * 2 * g.num_edges() as u64,
                 };
-                (1, None)
+                (1, None, false)
             }
         };
         let mark_nanos = mark_start.elapsed().as_nanos();
 
         // Stage 2: extract the sparsifier CSR (byte-identical to the
-        // sequential layout for any worker count).
+        // sequential layout for any worker count). Under passthrough the
+        // rebuild would reproduce `g`, so the match stage reads `g`.
         let extract_start = Instant::now();
-        let workers = stage_threads(threads, ids.len(), EXTRACT_PARALLEL_CUTOFF);
-        let sparse: &CsrGraph = csr.rebuild_from_marked(g, ids, workers);
+        let sparse: &CsrGraph = if passthrough {
+            g
+        } else {
+            let workers = stage_threads(threads, ids.len(), EXTRACT_PARALLEL_CUTOFF);
+            csr.rebuild_from_marked(g, ids, workers)
+        };
         result.sparsifier.edges = sparse.num_edges();
         let extract_nanos = extract_start.elapsed().as_nanos();
 
         // Stage 3: greedy init + bounded augmentation on the sparsifier.
         let match_start = Instant::now();
-        let workers = stage_threads(threads, sparse.num_edges(), MATCH_PARALLEL_CUTOFF);
-        result.aug = match_stage(
-            sparse,
-            self.match_eps(),
-            workers,
-            &mut result.matching,
-            searcher,
-        );
+        result.aug = match_stage(sparse, self.match_eps(), &mut result.matching, searcher);
         let match_nanos = match_start.elapsed().as_nanos();
         debug_assert!(
             result.matching.is_valid_for(g),
@@ -407,7 +417,7 @@ impl Backend {
         };
         let mut matching = Matching::new(0);
         let mut searcher = BlossomSearcher::new(&matching);
-        let aug = match_stage(&h, self.match_eps(), 1, &mut matching, &mut searcher);
+        let aug = match_stage(&h, self.match_eps(), &mut matching, &mut searcher);
         Ok((
             PipelineResult {
                 matching,
@@ -547,6 +557,152 @@ mod tests {
                 + meter.span_stats(keys::STAGE_EXTRACT).total_nanos
                 + meter.span_stats(keys::STAGE_MATCH).total_nanos;
             assert!(stage_sum <= meter.span_stats(keys::PIPELINE_TOTAL).total_nanos);
+        }
+    }
+
+    /// The marking path's answer for `p` on `g`: the reference build
+    /// (which marks unconditionally) then the match stage, plus the
+    /// build's metered probe and sampler counters.
+    fn marking_reference(
+        g: &CsrGraph,
+        p: &SparsifierParams,
+        seed: u64,
+    ) -> (PipelineResult, Vec<(String, u64)>) {
+        let mut meter = WorkMeter::new();
+        let built = crate::sparsifier::build_sparsifier_parallel_metered(
+            g,
+            &stage_params(p),
+            seed,
+            1,
+            &mut meter,
+        )
+        .unwrap();
+        let mut matching = Matching::new(0);
+        let mut searcher = BlossomSearcher::new(&matching);
+        let aug = match_stage(&built.graph, stage_eps(p.eps), &mut matching, &mut searcher);
+        let result = PipelineResult {
+            matching,
+            sparsifier: built.stats,
+            probes: ProbeCounts {
+                degree_probes: meter.get(keys::DEGREE_PROBES),
+                neighbor_probes: meter.get(keys::NEIGHBOR_PROBES),
+            },
+            aug,
+        };
+        let counters = meter.counters().map(|(k, v)| (k.to_string(), v)).collect();
+        (result, counters)
+    }
+
+    /// Solve `g` at t ∈ {1, 2} through a fresh arena and assert the result
+    /// and the sampler counters equal the marking reference; returns
+    /// whether the solves took the passthrough branch.
+    fn solve_matches_marking_reference(g: &CsrGraph, p: &SparsifierParams, seed: u64) -> bool {
+        let (reference, ref_counters) = marking_reference(g, p, seed);
+        let mut scratch = PipelineScratch::new();
+        for threads in [1, 2] {
+            let mut meter = WorkMeter::new();
+            let r = Backend::Delta(*p)
+                .solve(g, seed, threads, Some(&mut meter), &mut scratch)
+                .unwrap();
+            assert_eq!(r.matching, reference.matching, "t = {threads}");
+            assert_eq!(r.sparsifier, reference.sparsifier, "t = {threads}");
+            assert_eq!(r.probes, reference.probes, "t = {threads}");
+            assert_eq!(r.aug, reference.aug, "t = {threads}");
+            for (key, value) in &ref_counters {
+                assert_eq!(meter.get(key), *value, "t = {threads}: {key}");
+            }
+        }
+        let counts = scratch.branch_counts();
+        assert_eq!(counts.passthrough + counts.marking, 2);
+        assert!(counts.passthrough == 0 || counts.marking == 0, "{counts:?}");
+        counts.passthrough == 2
+    }
+
+    #[test]
+    fn passthrough_boundary_is_max_degree_equal_to_mark_cap() {
+        let p = SparsifierParams::with_delta(1, 0.5, 2);
+        let cap = stage_params(&p).mark_cap();
+        // A clique on `cap + 1` vertices puts every degree at exactly
+        // `cap`; a path and isolated vertices sit below it.
+        let n = cap + 12;
+        let mut edges: Vec<(usize, usize)> = (0..=cap)
+            .flat_map(|u| (u + 1..=cap).map(move |v| (u, v)))
+            .collect();
+        edges.extend((cap + 1..cap + 6).map(|u| (u, u + 1)));
+        let at_cap = sparsimatch_graph::csr::from_edges(n, edges.iter().copied());
+        assert_eq!(at_cap.max_degree(), cap);
+        // One more edge lifts a single clique vertex to `cap + 1`.
+        edges.push((0, n - 1));
+        let above_cap = sparsimatch_graph::csr::from_edges(n, edges);
+        assert_eq!(above_cap.max_degree(), cap + 1);
+        for seed in [3u64, 11] {
+            assert!(solve_matches_marking_reference(&at_cap, &p, seed));
+            assert!(!solve_matches_marking_reference(&above_cap, &p, seed));
+        }
+        let (r, counters) = marking_reference(&at_cap, &p, 3);
+        let (n, m) = (at_cap.num_vertices(), at_cap.num_edges());
+        assert_eq!(
+            (
+                r.sparsifier.low_degree_vertices,
+                r.sparsifier.marks_placed,
+                r.sparsifier.edges
+            ),
+            (n, 2 * m, m)
+        );
+        assert_eq!(
+            (r.probes.degree_probes, r.probes.neighbor_probes),
+            (2 * n as u64, 2 * m as u64)
+        );
+        for key in [keys::RNG_DRAWS, keys::OVERLAY_WRITES] {
+            assert!(counters.contains(&(key.to_string(), 0)), "{key}");
+        }
+    }
+
+    #[test]
+    fn marking_reproduces_the_input_whenever_it_passes_through() {
+        let mut rng = StdRng::seed_from_u64(12);
+        let p = SparsifierParams::practical(2, 0.4);
+        let cap = stage_params(&p).mark_cap();
+        let inputs = [
+            sparsimatch_graph::csr::from_edges(0, []),
+            sparsimatch_graph::csr::from_edges(7, []),
+            sparsimatch_graph::csr::from_edges(9, [(0, 1), (2, 3), (3, 4)]),
+            clique(cap + 1),
+            gnp(300, 0.05, &mut rng),
+            sparsimatch_graph::generators::clique_union(
+                sparsimatch_graph::generators::CliqueUnionConfig {
+                    n: 400,
+                    diversity: 2,
+                    clique_size: 20,
+                },
+                &mut rng,
+            ),
+        ];
+        for (i, g) in inputs.iter().enumerate() {
+            assert!(g.max_degree() <= cap, "input {i} must pass through");
+            for threads in [1, 2, 4] {
+                let built = build_sparsifier_parallel(g, &stage_params(&p), 5, threads).unwrap();
+                assert!(built.graph == *g, "input {i} at t = {threads}");
+            }
+            assert!(solve_matches_marking_reference(g, &p, 5), "input {i}");
+        }
+    }
+
+    #[test]
+    fn dispatch_never_exceeds_the_host() {
+        let host = host_threads();
+        assert!(host >= 1);
+        for requested in 1..=MAX_THREADS {
+            for work in [
+                0,
+                MARK_PARALLEL_CUTOFF - 1,
+                MARK_PARALLEL_CUTOFF,
+                usize::MAX,
+            ] {
+                let t = stage_threads(requested, work, MARK_PARALLEL_CUTOFF);
+                assert!((1..=host.min(requested)).contains(&t), "{requested} {work}");
+            }
+            assert_eq!(stage_threads(requested, usize::MAX, 1), requested.min(host));
         }
     }
 

@@ -24,9 +24,7 @@ use sparsimatch_matching::blossom::BlossomSearcher;
 use sparsimatch_matching::bounded_aug::{
     eliminate_augmenting_paths_up_to_with, max_path_len_for_eps, AugStats,
 };
-use sparsimatch_matching::greedy::{
-    greedy_maximal_matching_into, greedy_maximal_matching_parallel,
-};
+use sparsimatch_matching::greedy::greedy_maximal_matching_into;
 use sparsimatch_matching::Matching;
 
 /// Everything the pipeline measured while running.
@@ -61,23 +59,18 @@ pub fn stage_params(params: &SparsifierParams) -> SparsifierParams {
 }
 
 /// Stage 3 (match) on a built sparsifier, into caller-owned buffers:
-/// greedy maximal matching on `workers` threads, then bounded
-/// augmentation at `eps`. The parallel greedy computes the
-/// lexicographically-first maximal matching — exactly the sequential
-/// scan's output — so `workers` changes only the wall clock; one worker
-/// with warm buffers allocates nothing.
+/// the sequential greedy maximal matching, then bounded augmentation at
+/// `eps`. Greedy always runs on one worker: the lexicographically-first
+/// maximal matching is a single linear scan, and the parallel
+/// local-minima rounds lost to it at every measured size. With warm
+/// buffers it allocates nothing.
 pub fn match_stage(
     sparse: &CsrGraph,
     eps: f64,
-    workers: usize,
     matching: &mut Matching,
     searcher: &mut BlossomSearcher,
 ) -> AugStats {
-    if workers == 1 {
-        greedy_maximal_matching_into(sparse, matching);
-    } else {
-        *matching = greedy_maximal_matching_parallel(sparse, workers);
-    }
+    greedy_maximal_matching_into(sparse, matching);
     eliminate_augmenting_paths_up_to_with(sparse, matching, max_path_len_for_eps(eps), searcher)
 }
 

@@ -265,4 +265,26 @@ mod tests {
         s.mark_indices(5, 2, 5, &mut rng, &mut out);
         assert_eq!(out, vec![0, 1, 2, 3, 4], "deg 5 <= cap 5: take all");
     }
+
+    /// The fact `G_Δ = G` passthrough rests on: at `deg ≤ mark_cap` the
+    /// mark set is exactly `0..deg` and the sampler does no work — no
+    /// RNG draw (the stream is left untouched), no overlay write — for
+    /// every Δ, even on an unsized sampler.
+    #[test]
+    fn mark_indices_at_or_below_cap_keeps_all_and_draws_nothing() {
+        let mut s = PosArraySampler::new(0);
+        let mut out = vec![7u32; 3]; // dirty
+        for cap in [0usize, 1, 6, 40] {
+            for deg in 0..=cap {
+                for delta in [1usize, cap / 2 + 1, cap + 3] {
+                    let mut rng = StdRng::seed_from_u64(9);
+                    s.mark_indices(deg, delta, cap, &mut rng, &mut out);
+                    assert_eq!(out, (0..deg as u32).collect::<Vec<_>>(), "{deg} {cap}");
+                    let untouched: u64 = StdRng::seed_from_u64(9).random();
+                    assert_eq!(rng.random::<u64>(), untouched, "{deg} {cap}: drew");
+                }
+            }
+        }
+        assert_eq!((s.rng_draws(), s.overlay_writes()), (0, 0));
+    }
 }

@@ -66,6 +66,22 @@ pub struct PipelineScratch {
     pub(crate) result: PipelineResult,
     /// Largest capacity footprint observed at the end of any run.
     pub(crate) high_water: usize,
+    /// Which mark-stage branch each `delta` solve through this arena
+    /// took.
+    pub(crate) branches: BranchCounts,
+}
+
+/// How many `delta` solves through one [`PipelineScratch`] took each
+/// branch of [`Backend::solve`](crate::backend::Backend::solve)'s mark
+/// stage. Both branches report the same result; the counts only show
+/// which code ran, so a differential sweep can prove it exercised both.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct BranchCounts {
+    /// Solves where every degree was at most the mark cap, so `G_Δ = G`
+    /// and the match stage ran on the input graph itself.
+    pub passthrough: u64,
+    /// Solves that marked edges and extracted the sparsifier CSR.
+    pub marking: u64,
 }
 
 impl PipelineScratch {
@@ -88,13 +104,15 @@ impl PipelineScratch {
                 aug: AugStats::default(),
             },
             high_water: 0,
+            branches: BranchCounts::default(),
         }
     }
 
     /// Logically empty every buffer, keeping capacities (and the
-    /// high-water statistic). Runs never require this — each stage resets
-    /// the state it reads — but it lets a long-lived holder drop stale
-    /// *contents* (e.g. the previous result) without giving up warmth.
+    /// high-water and branch statistics). Runs never require this — each
+    /// stage resets the state it reads — but it lets a long-lived holder
+    /// drop stale *contents* (e.g. the previous result) without giving
+    /// up warmth.
     pub fn clear(&mut self) {
         self.indices.clear();
         self.ids.clear();
@@ -129,6 +147,12 @@ impl PipelineScratch {
     /// any run — the arena's steady-state memory footprint.
     pub fn high_water_bytes(&self) -> usize {
         self.high_water
+    }
+
+    /// Per-branch counts of the `delta` solves run through this arena
+    /// since it was created.
+    pub fn branch_counts(&self) -> BranchCounts {
+        self.branches
     }
 
     /// Record the current capacity footprint into the high-water mark.

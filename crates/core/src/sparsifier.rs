@@ -199,12 +199,14 @@ pub fn build_sparsifier_parallel_metered(
         return Err(ThreadCountError { requested: threads });
     }
     let mut ids = Vec::new();
+    // One worker marks inline on this sampler; more size their own.
+    let max_degree = if threads == 1 { g.max_degree() } else { 0 };
     let marks = mark_edges(
         g,
         params,
         seed,
         threads,
-        &mut PosArraySampler::new(0),
+        &mut PosArraySampler::new(max_degree),
         &mut Vec::new(),
         &mut ids,
     );
@@ -230,6 +232,26 @@ pub(crate) struct MarkSummary {
 }
 
 impl MarkSummary {
+    /// The summary of a seeded build on a graph whose every degree is at
+    /// most `params.mark_cap()`, where `G_Δ = G`, computed without
+    /// marking. [`PosArraySampler::mark_indices`] keeps all of `0..deg`
+    /// and draws nothing at such a degree, so every vertex is low degree,
+    /// the `2m` marks land on all `m` edges, and the sampler does no
+    /// work — exactly what [`mark_edges`] would report.
+    pub fn keep_all(g: &CsrGraph, params: &SparsifierParams) -> MarkSummary {
+        MarkSummary {
+            stats: SparsifierStats {
+                delta: params.delta,
+                mark_cap: params.mark_cap(),
+                low_degree_vertices: g.num_vertices(),
+                marks_placed: 2 * g.num_edges(),
+                edges: g.num_edges(),
+            },
+            rng_draws: 0,
+            overlay_writes: 0,
+        }
+    }
+
     /// The analytic probe ledger of a seeded build over `n` vertices: the
     /// CSR fast path reads the graph directly, so probes are counted, not
     /// observed — two degree reads per vertex (the pass that sizes the
@@ -298,10 +320,12 @@ fn mark_range(
 
 /// Stage 1 (mark) of the seeded build into `ids`: sorted, deduplicated
 /// marked edge ids. One worker runs [`mark_range`] inline on the caller's
-/// buffers — allocation-free once they have capacity. More workers split
-/// the vertices into `threads` contiguous ranges, each on buffers of its
-/// own, and merge their id lists. The output is identical either way.
-/// `threads` must already be validated.
+/// buffers — allocation-free once they have capacity — and needs
+/// `sampler` to cover `g`'s largest degree already: the caller sizes it
+/// from the degree pass it runs anyway. More workers split the vertices
+/// into `threads` contiguous ranges, each on buffers of its own sized
+/// from its range, and merge their id lists. The output is identical
+/// either way. `threads` must already be validated.
 pub(crate) fn mark_edges(
     g: &CsrGraph,
     params: &SparsifierParams,
@@ -313,7 +337,6 @@ pub(crate) fn mark_edges(
 ) -> MarkSummary {
     let n = g.num_vertices();
     if threads == 1 {
-        sampler.ensure_capacity(g.max_degree().max(1));
         return mark_range(g, params, seed, 0..n, sampler, indices, ids);
     }
     let chunk = n.div_ceil(threads).max(1);
@@ -511,6 +534,7 @@ mod tests {
         let mut indices = vec![9u32; 7]; // deliberately dirty
         let mut ids = vec![EdgeId(5); 13];
         for (i, g) in graphs.iter().enumerate() {
+            sampler.ensure_capacity(g.max_degree());
             for seed in [0u64, 17, 99] {
                 let inline = mark_edges(g, &p, seed, 1, &mut sampler, &mut indices, &mut ids);
                 let inline_ids = ids.clone();

@@ -9,7 +9,7 @@
 //!
 //! The trick is that the marking scheme is replayable from degrees
 //! alone. Each vertex `v` samples with its own
-//! [`vertex_rng`](crate::sampler::vertex_rng) stream — exactly the
+//! [`vertex_rng`] stream — exactly the
 //! per-vertex streams of the in-memory seeded marking path — and
 //! [`PosArraySampler::sample_indices`] consumes randomness as a function
 //! of `deg(v)` only. So:

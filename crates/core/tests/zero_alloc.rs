@@ -85,23 +85,21 @@ fn warm_scratch_repeat_solves_allocate_nothing() {
     }
 }
 
-/// A t = 2 solve whose input, marked edges and sparsifier all sit below
-/// the parallel cutoffs runs every stage on one worker, so its warm
-/// repeats must be as allocation-free as t = 1 — the extract stage
-/// included.
-#[test]
-fn warm_two_thread_solve_below_every_cutoff_allocates_nothing() {
-    let g = clique(300);
-    let backend = Backend::Delta(SparsifierParams::practical(1, 0.3));
+/// Warm `t = 2` repeats of `backend` on `g` allocate nothing and match
+/// the `t = 1` output; returns the arena they ran through.
+fn assert_warm_two_thread_solves_allocate_nothing(
+    g: &CsrGraph,
+    backend: Backend,
+) -> PipelineScratch {
     let mut scratch = PipelineScratch::new();
     let cold = backend
-        .solve(&g, 7, 1, None, &mut PipelineScratch::new())
+        .solve(g, 7, 1, None, &mut PipelineScratch::new())
         .unwrap()
         .clone();
-    backend.solve(&g, 7, 2, None, &mut scratch).unwrap();
+    backend.solve(g, 7, 2, None, &mut scratch).unwrap();
     for rep in 0..3 {
         let before = alloc::thread_totals();
-        let warm = backend.solve(&g, 7, 2, None, &mut scratch).unwrap();
+        let warm = backend.solve(g, 7, 2, None, &mut scratch).unwrap();
         let after = alloc::thread_totals();
         let identical = warm.matching == cold.matching;
         assert_eq!(
@@ -113,6 +111,37 @@ fn warm_two_thread_solve_below_every_cutoff_allocates_nothing() {
         );
         assert!(identical, "rep {rep}: t = 2 output diverged from t = 1");
     }
+    scratch
+}
+
+/// A t = 2 solve whose input, marked edges and sparsifier all sit below
+/// the parallel cutoffs runs every stage on one worker, so its warm
+/// repeats must be as allocation-free as t = 1 — the extract stage
+/// included.
+#[test]
+fn warm_two_thread_solve_below_every_cutoff_allocates_nothing() {
+    let backend = Backend::Delta(SparsifierParams::practical(1, 0.3));
+    let scratch = assert_warm_two_thread_solves_allocate_nothing(&clique(300), backend);
+    assert_eq!(scratch.branch_counts().passthrough, 0);
+}
+
+/// A t = 2 solve on a `G_Δ = G` input big enough for a parallel mark
+/// (`m ≥ 2^17`) neither marks nor extracts: it matches on the input, so
+/// its warm repeats allocate nothing.
+#[test]
+fn warm_two_thread_passthrough_solve_allocates_nothing() {
+    let g = clique_union(
+        CliqueUnionConfig {
+            n: 5_000,
+            diversity: 2,
+            clique_size: 50,
+        },
+        &mut StdRng::seed_from_u64(0xBE),
+    );
+    assert!(g.num_edges() >= 1 << 17, "{} edges", g.num_edges());
+    let backend = Backend::Delta(SparsifierParams::practical(2, 0.3));
+    let scratch = assert_warm_two_thread_solves_allocate_nothing(&g, backend);
+    assert_eq!(scratch.branch_counts().marking, 0);
 }
 
 #[test]

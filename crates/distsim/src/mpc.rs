@@ -202,7 +202,7 @@ pub fn mpc_approx_mcm_sharded(
     let mut matching = Matching::new(0);
     let mut searcher = BlossomSearcher::new(&matching);
     let eps = stage_eps(params.eps);
-    match_stage(&sparse, eps, 1, &mut matching, &mut searcher);
+    match_stage(&sparse, eps, &mut matching, &mut searcher);
     debug_assert!(matching.is_valid_for(g));
 
     // Round 2: return each vertex's mate to its owner; per-machine load is

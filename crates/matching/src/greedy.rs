@@ -67,6 +67,12 @@ const MAX_ROUNDS: usize = 64;
 /// fast progress fall back to the sequential scan over the surviving
 /// edges, which preserves the output exactly (an edge skipped because an
 /// endpoint got matched is an edge the sequential scan would skip too).
+///
+/// No solve path calls this: it lost to the sequential scan at every
+/// measured size, so the pipeline's match stage runs greedy on one
+/// worker. It stays only because `benchmark/trace` links it to time the
+/// `matching.greedy_ms_t2` span; delete it (with its cutoff, finish and
+/// round-cap constants) once that span is retired.
 pub fn greedy_maximal_matching_parallel(g: &CsrGraph, threads: usize) -> Matching {
     let threads = threads.max(1);
     let m_edges = g.num_edges();
