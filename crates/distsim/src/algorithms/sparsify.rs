@@ -6,18 +6,36 @@
 //! message complexity. The sparsifier is the set of edges carrying a mark
 //! in either direction. No ids are exchanged, so the construction runs in
 //! the `KT_0` model.
+//!
+//! The local marking is the core's one rule: node `v` runs
+//! [`PosArraySampler::mark_indices`] on its own [`vertex_rng`] stream, so
+//! at a fixed seed phase 1 keeps exactly the edges that
+//! `sparsimatch_core::sparsifier::build_sparsifier_parallel` keeps.
 
 use crate::network::{Net, Outgoing};
-use rand::rngs::StdRng;
-use rand::seq::index::sample;
-use rand::SeedableRng;
 use sparsimatch_core::params::SparsifierParams;
+use sparsimatch_core::sampler::{vertex_rng, PosArraySampler};
 use sparsimatch_graph::csr::CsrGraph;
 use sparsimatch_graph::ids::VertexId;
 
+/// Every node's marked ports, in node order: the Section 3.1 sampler on
+/// node `v`'s [`vertex_rng`] stream, independent across nodes as the
+/// analysis needs.
+fn mark_ports(g: &CsrGraph, params: &SparsifierParams, seed: u64) -> Vec<Vec<u32>> {
+    let mut sampler = PosArraySampler::new(g.max_degree());
+    (0..g.num_vertices())
+        .map(|v| {
+            let mut marks = Vec::new();
+            let deg = g.degree(VertexId::new(v));
+            let mut rng = vertex_rng(seed, v);
+            sampler.mark_indices(deg, params.delta, params.mark_cap(), &mut rng, &mut marks);
+            marks
+        })
+        .collect()
+}
+
 /// Run the one-round sparsifier protocol. Returns the sparsified graph
-/// (same vertex set). Nodes draw their randomness from per-node seeds
-/// derived from `seed` (independent across nodes, as the analysis needs).
+/// (same vertex set): the core's `G_Δ` at `seed` on a perfect transport.
 ///
 /// On a faulty transport a dropped mark shrinks the sparsifier (the edge
 /// survives only if the sender's own mark is kept) and a duplicated mark
@@ -28,25 +46,12 @@ pub fn distributed_sparsifier<'g>(
     params: &SparsifierParams,
     seed: u64,
 ) -> CsrGraph {
-    let g = net.graph();
-    let n = g.num_vertices();
-    let mut outboxes: Vec<Vec<Outgoing<()>>> = Vec::with_capacity(n);
-    let mut sent_marks: Vec<Vec<u32>> = Vec::with_capacity(n);
-    for v in 0..n {
-        let vid = VertexId::new(v);
-        let deg = g.degree(vid);
-        let marks: Vec<u32> = if deg <= params.mark_cap() {
-            (0..deg as u32).collect()
-        } else {
-            let mut rng = StdRng::seed_from_u64(seed ^ (v as u64).wrapping_mul(0x9E3779B97F4A7C15));
-            sample(&mut rng, deg, params.delta)
-                .into_iter()
-                .map(|i| i as u32)
-                .collect()
-        };
-        outboxes.push(marks.iter().map(|&p| (p as usize, (), 1u64)).collect());
-        sent_marks.push(marks);
-    }
+    let n = net.graph().num_vertices();
+    let sent_marks = mark_ports(net.graph(), params, seed);
+    let outboxes: Vec<Vec<Outgoing<()>>> = sent_marks
+        .iter()
+        .map(|marks| marks.iter().map(|&p| (p as usize, (), 1u64)).collect())
+        .collect();
     let inboxes = net.exchange(outboxes);
 
     // An edge is in G_Δ iff marked by either endpoint: each node keeps the
@@ -78,21 +83,7 @@ pub fn distributed_sparsifier_broadcast<'g>(
 ) -> CsrGraph {
     let g = net.graph();
     let n = g.num_vertices();
-    let mut sent_marks: Vec<Vec<u32>> = Vec::with_capacity(n);
-    for v in 0..n {
-        let vid = VertexId::new(v);
-        let deg = g.degree(vid);
-        let marks: Vec<u32> = if deg <= params.mark_cap() {
-            (0..deg as u32).collect()
-        } else {
-            let mut rng = StdRng::seed_from_u64(seed ^ (v as u64).wrapping_mul(0x9E3779B97F4A7C15));
-            sample(&mut rng, deg, params.delta)
-                .into_iter()
-                .map(|i| i as u32)
-                .collect()
-        };
-        sent_marks.push(marks);
-    }
+    let sent_marks = mark_ports(g, params, seed);
     // Broadcast: every node sends its marked-port list on every port.
     let payloads: Vec<(Vec<u32>, u64)> = (0..n)
         .map(|v| {
@@ -141,6 +132,59 @@ mod tests {
     use crate::ShardedNetwork;
     use sparsimatch_graph::generators::{clique, clique_union, star, CliqueUnionConfig};
     use sparsimatch_matching::blossom::maximum_matching;
+
+    /// Phase 1 is pinned to the core's one marking rule, the way phase 2
+    /// is pinned to `solomon_sparsifier`: at one seed, on a graph whose
+    /// high-degree vertices sample, the unicast protocol at every shard
+    /// count, the broadcast protocol and `build_sparsifier_parallel` at
+    /// every thread count keep the identical edge list, and the MPC run
+    /// ships exactly that build's `2·marks_placed` words in round 1.
+    #[test]
+    fn agrees_with_core_construction() {
+        use crate::mpc::{mpc_approx_mcm, MpcConfig, MpcError};
+        use rand::{rngs::StdRng, SeedableRng};
+        use sparsimatch_core::sparsifier::build_sparsifier_parallel;
+        use sparsimatch_graph::generators::family_from_spec;
+
+        let mut rng = StdRng::seed_from_u64(4);
+        let g = family_from_spec("clique-union:2:20", 80, &mut rng).unwrap();
+        let p = SparsifierParams::practical(2, 0.5);
+        assert_eq!((p.delta, p.mark_cap()), (16, 32));
+        assert!(g.max_degree() > p.mark_cap(), "some vertex must sample");
+        let seed = 5;
+        let edges = |s: &CsrGraph| s.edges().map(|(_, u, v)| (u.0, v.0)).collect::<Vec<_>>();
+        let core = build_sparsifier_parallel(&g, &p, seed, 1).unwrap();
+        let want = edges(&core.graph);
+        assert!(want.len() < g.num_edges(), "the build must drop edges");
+        for t in [2usize, 4] {
+            let s = build_sparsifier_parallel(&g, &p, seed, t).unwrap();
+            assert_eq!(edges(&s.graph), want, "build_sparsifier_parallel t={t}");
+        }
+        for t in [1usize, 2] {
+            let mut net = ShardedNetwork::new(&g, t);
+            let s = distributed_sparsifier(&mut net, &p, seed);
+            assert_eq!(edges(&s), want, "unicast t={t}");
+        }
+        let mut net = ShardedNetwork::new(&g, 1);
+        let s = distributed_sparsifier_broadcast(&mut net, &p, seed);
+        assert_eq!(edges(&s), want, "broadcast");
+
+        // A zero memory cap stops the run at round 1 and reports its load.
+        let cfg = MpcConfig {
+            machines: 4,
+            memory_words: 0,
+        };
+        let err = mpc_approx_mcm(&g, &p, &cfg, seed).unwrap_err();
+        let load = 2 * core.stats.marks_placed;
+        assert_eq!(
+            err,
+            MpcError::MemoryExceeded {
+                round: 1,
+                load,
+                cap: 0
+            }
+        );
+    }
 
     #[test]
     fn single_round_and_message_bound() {

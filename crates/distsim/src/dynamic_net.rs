@@ -4,7 +4,8 @@
 //! maintained with low per-update communication and memory.
 //!
 //! The sparsifier is ideal here because marking is local: when edge
-//! `{u, v}` appears or disappears, only `u` and `v` resample their marks —
+//! `{u, v}` appears or disappears, only `u` and `v` resample their marks
+//! (with the core's one marking rule, `PosArraySampler::mark_indices`) —
 //! **one communication round and `O(Δ)` one-bit messages per update**,
 //! touching nobody else. Each node stores only its own ≤ `2Δ` marks and
 //! the ≤ `deg` marks it has heard (`O(Δ + deg)` words). The maintained
@@ -13,10 +14,8 @@
 //! from it at any moment.
 
 use crate::metrics::Metrics;
-use rand::rngs::StdRng;
-use rand::seq::index::sample;
-use rand::SeedableRng;
 use sparsimatch_core::params::SparsifierParams;
+use sparsimatch_core::sampler::{vertex_rng, PosArraySampler};
 use sparsimatch_graph::adjacency::AdjacencyOracle;
 use sparsimatch_graph::adjlist::AdjListGraph;
 use sparsimatch_graph::csr::{CsrGraph, GraphBuilder};
@@ -42,6 +41,10 @@ pub struct DynamicNetwork {
     metrics: Metrics,
     update_seed: u64,
     updates_applied: u64,
+    /// The Section 3.1 sampler every resample marks through, grown to the
+    /// largest degree seen, and its index buffer.
+    sampler: PosArraySampler,
+    indices: Vec<u32>,
 }
 
 impl DynamicNetwork {
@@ -54,6 +57,8 @@ impl DynamicNetwork {
             metrics: Metrics::new(),
             update_seed: seed,
             updates_applied: 0,
+            sampler: PosArraySampler::new(0),
+            indices: Vec::new(),
         }
     }
 
@@ -83,21 +88,26 @@ impl DynamicNetwork {
         self.resample(v);
     }
 
+    /// Redraw `v`'s marks with the core's marking rule, on the
+    /// [`vertex_rng`] stream of a seed that also folds in the update
+    /// count, so every update draws fresh coins.
     fn resample(&mut self, v: VertexId) {
         let deg = self.graph.degree(v);
-        let mut rng = StdRng::seed_from_u64(
-            self.update_seed
-                ^ (v.0 as u64).wrapping_mul(0x9E3779B97F4A7C15)
-                ^ self.updates_applied.wrapping_mul(0xD1B54A32D192ED03),
+        let seed = self.update_seed ^ self.updates_applied.wrapping_mul(0xD1B54A32D192ED03);
+        let mut rng = vertex_rng(seed, v.index());
+        self.sampler.ensure_capacity(deg);
+        self.sampler.mark_indices(
+            deg,
+            self.params.delta,
+            self.params.mark_cap(),
+            &mut rng,
+            &mut self.indices,
         );
-        let fresh: HashSet<u32> = if deg <= self.params.mark_cap() {
-            (0..deg).map(|i| self.graph.neighbor(v, i).0).collect()
-        } else {
-            sample(&mut rng, deg, self.params.delta)
-                .into_iter()
-                .map(|i| self.graph.neighbor(v, i).0)
-                .collect()
-        };
+        let fresh: HashSet<u32> = self
+            .indices
+            .iter()
+            .map(|&i| self.graph.neighbor(v, i as usize).0)
+            .collect();
         // Communication: v tells each newly-marked neighbor (1 bit) and
         // each formerly-marked neighbor that the mark is retracted (1 bit).
         let old = std::mem::take(&mut self.marks[v.index()]);
@@ -124,7 +134,9 @@ impl DynamicNetwork {
         b.build()
     }
 
-    /// Per-node memory high-water mark, in words (own marks + degree).
+    /// The largest per-node memory right now, in words (own marks +
+    /// degree), over all nodes. It is the current maximum, not a
+    /// high-water mark over past updates: deletions can lower it.
     pub fn max_node_memory(&self) -> usize {
         (0..self.graph.num_vertices())
             .map(|v| self.marks[v].len() + self.graph.degree(VertexId::new(v)))

@@ -11,8 +11,11 @@
 //! `s = O(n·Δ) = O(n·(β/ε)·log(1/ε))` — **sublinear in `m`** on dense
 //! inputs, which is the whole point:
 //!
-//! 1. *(local)* every machine marks Δ random edges per owned vertex;
-//! 2. *(round 1)* marked edges are sent to a coordinator — total load
+//! 1. *(local)* every machine marks Δ random edges per owned vertex,
+//!    with the core's seeded marking rule — the same `G_Δ` the
+//!    sequential and distributed builds draw at that seed;
+//! 2. *(round 1)* every mark is sent to a coordinator as one 2-word edge
+//!    record — total load `2·marks ≤ 4·n·Δ` words, and
 //!    `|E(G_Δ)| ≤ 4·|MCM|·Δ ≤ s`;
 //! 3. *(local)* the coordinator computes a `(1+ε)`-approximate matching
 //!    on the sparsifier;
@@ -23,14 +26,10 @@
 //! realized loads, so the memory claim is measured, not assumed.
 
 use crate::metrics::Metrics;
-use crate::shard::{balanced_bounds, csr_offsets, run_jobs};
-use rand::rngs::StdRng;
-use rand::seq::index::sample;
-use rand::SeedableRng;
 use sparsimatch_core::params::SparsifierParams;
 use sparsimatch_core::pipeline::{match_stage, stage_eps};
-use sparsimatch_graph::csr::{CsrGraph, GraphBuilder};
-use sparsimatch_graph::ids::VertexId;
+use sparsimatch_core::sparsifier::{build_sparsifier_parallel, ThreadCountError};
+use sparsimatch_graph::csr::CsrGraph;
 use sparsimatch_matching::blossom::BlossomSearcher;
 use sparsimatch_matching::Matching;
 
@@ -69,6 +68,9 @@ pub enum MpcError {
         /// The configured cap.
         cap: usize,
     },
+    /// The marking thread count is outside the core kernel's accepted
+    /// range.
+    Threads(ThreadCountError),
 }
 
 impl std::fmt::Display for MpcError {
@@ -77,11 +79,18 @@ impl std::fmt::Display for MpcError {
             MpcError::MemoryExceeded { round, load, cap } => {
                 write!(f, "round {round}: load {load} words exceeds memory {cap}")
             }
+            MpcError::Threads(e) => e.fmt(f),
         }
     }
 }
 
 impl std::error::Error for MpcError {}
+
+impl From<ThreadCountError> for MpcError {
+    fn from(e: ThreadCountError) -> Self {
+        MpcError::Threads(e)
+    }
+}
 
 /// Which machine owns vertex `v` (contiguous ranges).
 fn owner(v: usize, n: usize, machines: usize) -> usize {
@@ -113,44 +122,17 @@ pub fn mpc_approx_mcm(
     mpc_approx_mcm_sharded(g, params, cfg, seed, 1)
 }
 
-/// Mark edges for the contiguous vertex range `lo..hi`. Marking is a pure
-/// per-vertex function of `(seed, v)`, so any contiguous partition of the
-/// vertex space, marked independently and concatenated in range order,
-/// yields the exact byte sequence the single-range scan produces.
-fn mark_range(
-    g: &CsrGraph,
-    params: &SparsifierParams,
-    seed: u64,
-    lo: usize,
-    hi: usize,
-) -> Vec<(u32, u32)> {
-    let mut marked: Vec<(u32, u32)> = Vec::new();
-    for v in lo..hi {
-        let vid = VertexId::new(v);
-        let deg = g.degree(vid);
-        if deg == 0 {
-            continue;
-        }
-        if deg <= params.mark_cap() {
-            for u in g.neighbors(vid) {
-                marked.push((vid.0, u.0));
-            }
-        } else {
-            let mut rng = StdRng::seed_from_u64(seed ^ (v as u64).wrapping_mul(0x9E3779B97F4A7C15));
-            for i in sample(&mut rng, deg, params.delta) {
-                marked.push((vid.0, g.neighbor(vid, i).0));
-            }
-        }
-    }
-    marked
-}
-
 /// [`mpc_approx_mcm`] with the machine-local marking phase executed by
-/// `threads` shard workers over half-edge-balanced contiguous vertex
-/// ranges (the same partitioner as [`crate::ShardedNetwork`]). The
-/// outcome — marked-edge list, matching, loads — is byte-identical to
-/// the sequential run at every thread count because marking is a pure
-/// per-vertex function and shards are concatenated in range order.
+/// `threads` workers: it is the core's seeded `G_Δ` build,
+/// [`build_sparsifier_parallel`], over that kernel's contiguous vertex
+/// ranges. Marking is a pure per-vertex function of `(seed, v)`, so the
+/// outcome — sparsifier, matching, loads — is byte-identical at every
+/// thread count.
+///
+/// # Errors
+/// [`MpcError::Threads`] when `threads` is outside `1..=MAX_THREADS`
+/// (see [`sparsimatch_core::sparsifier::MAX_THREADS`]);
+/// [`MpcError::MemoryExceeded`] when a round breaks the memory cap.
 pub fn mpc_approx_mcm_sharded(
     g: &CsrGraph,
     params: &SparsifierParams,
@@ -159,30 +141,19 @@ pub fn mpc_approx_mcm_sharded(
     threads: usize,
 ) -> Result<MpcOutcome, MpcError> {
     assert!(cfg.machines >= 1);
-    assert!(threads >= 1, "thread count must be at least 1");
     let n = g.num_vertices();
     let mut rounds = 0u64;
     let mut max_round_load = 0usize;
     let mut total_words = 0u64;
 
-    // Local step: per-owner marking. Each machine only touches the
-    // adjacency lists of vertices it owns; `owner` assigns contiguous
-    // ranges, so shard workers respect machine locality.
-    let bounds = balanced_bounds(&csr_offsets(g), threads);
-    let jobs: Vec<_> = (0..threads)
-        .map(|k| {
-            let (lo, hi) = (bounds[k], bounds[k + 1]);
-            move || mark_range(g, params, seed, lo, hi)
-        })
-        .collect();
-    let mut marked: Vec<(u32, u32)> = Vec::new();
-    for chunk in run_jobs(jobs) {
-        marked.extend(chunk);
-    }
+    // Local step: every vertex marks its Δ edges from its own adjacency
+    // list, so each machine touches only the vertices it owns.
+    let sparse = build_sparsifier_parallel(g, params, seed, threads)?;
 
-    // Round 1: ship marked edges to the coordinator (machine 0).
+    // Round 1: ship every mark, one 2-word edge record each, to the
+    // coordinator (machine 0).
     rounds += 1;
-    let load1 = 2 * marked.len(); // words
+    let load1 = 2 * sparse.stats.marks_placed;
     total_words += load1 as u64;
     max_round_load = max_round_load.max(load1);
     if load1 > cfg.memory_words {
@@ -193,16 +164,11 @@ pub fn mpc_approx_mcm_sharded(
         });
     }
 
-    // Coordinator-local: materialize the sparsifier, match.
-    let mut b = GraphBuilder::with_capacity(n, marked.len());
-    for &(u, v) in &marked {
-        b.add_edge(VertexId(u), VertexId(v));
-    }
-    let sparse = b.build();
+    // Coordinator-local: match on the sparsifier.
     let mut matching = Matching::new(0);
     let mut searcher = BlossomSearcher::new(&matching);
     let eps = stage_eps(params.eps);
-    match_stage(&sparse, eps, &mut matching, &mut searcher);
+    match_stage(&sparse.graph, eps, &mut matching, &mut searcher);
     debug_assert!(matching.is_valid_for(g));
 
     // Round 2: return each vertex's mate to its owner; per-machine load is
@@ -348,6 +314,25 @@ mod tests {
             assert_eq!(sharded.max_round_load, base.max_round_load);
             assert_eq!(sharded.total_words, base.total_words);
         }
+    }
+
+    #[test]
+    fn out_of_range_thread_counts_are_typed_errors() {
+        let g = clique(40);
+        let params = SparsifierParams::practical(1, 0.5);
+        let cfg = MpcConfig {
+            machines: 2,
+            memory_words: 1_000_000,
+        };
+        for threads in [0usize, 65] {
+            let err = mpc_approx_mcm_sharded(&g, &params, &cfg, 1, threads).unwrap_err();
+            assert_eq!(
+                err,
+                MpcError::Threads(ThreadCountError { requested: threads })
+            );
+            assert!(err.to_string().contains("between 1 and 64"), "{err}");
+        }
+        assert!(mpc_approx_mcm_sharded(&g, &params, &cfg, 1, 64).is_ok());
     }
 
     #[test]

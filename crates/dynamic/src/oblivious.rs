@@ -15,9 +15,9 @@
 //! `adaptive_adversary_breaks_naive_maintenance_assumption` demonstrates
 //! is not merely hypothetical bookkeeping.
 
-use rand::seq::index::sample;
 use rand::Rng;
 use sparsimatch_core::params::SparsifierParams;
+use sparsimatch_core::sampler::PosArraySampler;
 use sparsimatch_graph::adjacency::AdjacencyOracle;
 use sparsimatch_graph::adjlist::AdjListGraph;
 use sparsimatch_graph::csr::{CsrGraph, GraphBuilder};
@@ -49,6 +49,10 @@ pub struct ObliviousDynamicSparsifier {
     marks: Vec<Vec<u32>>,
     /// Mark multiplicity per undirected edge (1 or 2 sides).
     marked_edges: HashMap<(u32, u32), u8>,
+    /// The Section 3.1 sampler every resample marks through, grown to the
+    /// largest degree seen, and its index buffer.
+    sampler: PosArraySampler,
+    indices: Vec<u32>,
 }
 
 impl ObliviousDynamicSparsifier {
@@ -59,6 +63,8 @@ impl ObliviousDynamicSparsifier {
             params,
             marks: vec![Vec::new(); n],
             marked_edges: HashMap::new(),
+            sampler: PosArraySampler::new(0),
+            indices: Vec::new(),
         }
     }
 
@@ -108,16 +114,23 @@ impl ObliviousDynamicSparsifier {
                 }
             }
         }
-        // Fresh marks from the current adjacency.
+        // Fresh marks from the current adjacency: the core's marking rule
+        // on the caller's RNG, the shared-stream model of
+        // `mark_shared_rng`.
         let deg = self.graph.degree(v);
-        let fresh: Vec<u32> = if deg <= self.params.mark_cap() {
-            (0..deg).map(|i| self.graph.neighbor(v, i).0).collect()
-        } else {
-            sample(rng, deg, self.params.delta)
-                .into_iter()
-                .map(|i| self.graph.neighbor(v, i).0)
-                .collect()
-        };
+        self.sampler.ensure_capacity(deg);
+        self.sampler.mark_indices(
+            deg,
+            self.params.delta,
+            self.params.mark_cap(),
+            rng,
+            &mut self.indices,
+        );
+        let fresh: Vec<u32> = self
+            .indices
+            .iter()
+            .map(|&i| self.graph.neighbor(v, i as usize).0)
+            .collect();
         for &w in &fresh {
             work += 1;
             let key = Self::edge_key(v, VertexId(w));
