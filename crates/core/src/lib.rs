@@ -15,7 +15,10 @@
 //! * [`sampler`] — Δ-out-of-deg sampling without replacement over
 //!   *read-only* adjacency arrays in deterministic O(Δ) time per vertex,
 //!   via the `pos_v` sparse-array emulation of Section 3.1; the
-//!   per-vertex marking rule and the per-vertex RNG derivation.
+//!   per-vertex marking rule and the per-vertex RNG derivation. Every
+//!   model marks through it: the in-memory and streamed builds, the
+//!   distributed, MPC and dynamic-network simulators, and the dynamic
+//!   matchers.
 //! * [`sparsifier`] — the `G_Δ` construction with size/arboricity
 //!   accounting (Observations 2.10 and 2.12): one marking kernel per
 //!   randomness model — per-vertex seeded streams (run inline or once per

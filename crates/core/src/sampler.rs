@@ -132,7 +132,10 @@ impl PosArraySampler {
 /// The per-vertex RNG stream of the seeded marking model: vertex `v`
 /// draws from its own generator seeded `seed ^ (v·0x9E3779B97F4A7C15)`,
 /// so its marks depend on the seed and its degree alone — never on which
-/// worker, pass, or build path samples it.
+/// worker, pass, build path or model samples it. The in-memory and
+/// streamed builds, distsim's phase 1 and the MPC marking all draw from
+/// it, so at one seed they keep the same `G_Δ`; the dynamic network
+/// folds its update count into the seed it passes.
 pub fn vertex_rng(seed: u64, v: usize) -> StdRng {
     StdRng::seed_from_u64(seed ^ (v as u64).wrapping_mul(0x9E3779B97F4A7C15))
 }

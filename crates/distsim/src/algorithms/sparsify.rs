@@ -21,17 +21,19 @@ use sparsimatch_graph::ids::VertexId;
 /// Every node's marked ports, in node order: the Section 3.1 sampler on
 /// node `v`'s [`vertex_rng`] stream, independent across nodes as the
 /// analysis needs.
-fn mark_ports(g: &CsrGraph, params: &SparsifierParams, seed: u64) -> Vec<Vec<u32>> {
+fn mark_ports<'a>(
+    g: &'a CsrGraph,
+    params: &'a SparsifierParams,
+    seed: u64,
+) -> impl Iterator<Item = Vec<u32>> + 'a {
     let mut sampler = PosArraySampler::new(g.max_degree());
-    (0..g.num_vertices())
-        .map(|v| {
-            let mut marks = Vec::new();
-            let deg = g.degree(VertexId::new(v));
-            let mut rng = vertex_rng(seed, v);
-            sampler.mark_indices(deg, params.delta, params.mark_cap(), &mut rng, &mut marks);
-            marks
-        })
-        .collect()
+    (0..g.num_vertices()).map(move |v| {
+        let mut marks = Vec::new();
+        let deg = g.degree(VertexId::new(v));
+        let mut rng = vertex_rng(seed, v);
+        sampler.mark_indices(deg, params.delta, params.mark_cap(), &mut rng, &mut marks);
+        marks
+    })
 }
 
 /// Run the one-round sparsifier protocol. Returns the sparsified graph
@@ -47,11 +49,12 @@ pub fn distributed_sparsifier<'g>(
     seed: u64,
 ) -> CsrGraph {
     let n = net.graph().num_vertices();
-    let sent_marks = mark_ports(net.graph(), params, seed);
-    let outboxes: Vec<Vec<Outgoing<()>>> = sent_marks
-        .iter()
-        .map(|marks| marks.iter().map(|&p| (p as usize, (), 1u64)).collect())
-        .collect();
+    let mut outboxes: Vec<Vec<Outgoing<()>>> = Vec::with_capacity(n);
+    let mut sent_marks = Vec::with_capacity(n);
+    for marks in mark_ports(net.graph(), params, seed) {
+        outboxes.push(marks.iter().map(|&p| (p as usize, (), 1u64)).collect());
+        sent_marks.push(marks);
+    }
     let inboxes = net.exchange(outboxes);
 
     // An edge is in G_Δ iff marked by either endpoint: each node keeps the
@@ -83,7 +86,7 @@ pub fn distributed_sparsifier_broadcast<'g>(
 ) -> CsrGraph {
     let g = net.graph();
     let n = g.num_vertices();
-    let sent_marks = mark_ports(g, params, seed);
+    let sent_marks: Vec<Vec<u32>> = mark_ports(g, params, seed).collect();
     // Broadcast: every node sends its marked-port list on every port.
     let payloads: Vec<(Vec<u32>, u64)> = (0..n)
         .map(|v| {

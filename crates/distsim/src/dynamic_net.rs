@@ -41,8 +41,8 @@ pub struct DynamicNetwork {
     metrics: Metrics,
     update_seed: u64,
     updates_applied: u64,
-    /// The Section 3.1 sampler every resample marks through, grown to the
-    /// largest degree seen, and its index buffer.
+    /// The Section 3.1 sampler every resample marks through, and its
+    /// index buffer.
     sampler: PosArraySampler,
     indices: Vec<u32>,
 }

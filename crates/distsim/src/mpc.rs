@@ -86,12 +86,6 @@ impl std::fmt::Display for MpcError {
 
 impl std::error::Error for MpcError {}
 
-impl From<ThreadCountError> for MpcError {
-    fn from(e: ThreadCountError) -> Self {
-        MpcError::Threads(e)
-    }
-}
-
 /// Which machine owns vertex `v` (contiguous ranges).
 fn owner(v: usize, n: usize, machines: usize) -> usize {
     (v * machines / n).min(machines - 1)
@@ -129,10 +123,8 @@ pub fn mpc_approx_mcm(
 /// outcome — sparsifier, matching, loads — is byte-identical at every
 /// thread count.
 ///
-/// # Errors
-/// [`MpcError::Threads`] when `threads` is outside `1..=MAX_THREADS`
-/// (see [`sparsimatch_core::sparsifier::MAX_THREADS`]);
-/// [`MpcError::MemoryExceeded`] when a round breaks the memory cap.
+/// Errs with [`MpcError::Threads`] when `threads` is outside
+/// `1..=`[`sparsimatch_core::sparsifier::MAX_THREADS`].
 pub fn mpc_approx_mcm_sharded(
     g: &CsrGraph,
     params: &SparsifierParams,
@@ -148,7 +140,7 @@ pub fn mpc_approx_mcm_sharded(
 
     // Local step: every vertex marks its Δ edges from its own adjacency
     // list, so each machine touches only the vertices it owns.
-    let sparse = build_sparsifier_parallel(g, params, seed, threads)?;
+    let sparse = build_sparsifier_parallel(g, params, seed, threads).map_err(MpcError::Threads)?;
 
     // Round 1: ship every mark, one 2-word edge record each, to the
     // coordinator (machine 0).

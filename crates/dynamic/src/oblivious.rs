@@ -49,8 +49,8 @@ pub struct ObliviousDynamicSparsifier {
     marks: Vec<Vec<u32>>,
     /// Mark multiplicity per undirected edge (1 or 2 sides).
     marked_edges: HashMap<(u32, u32), u8>,
-    /// The Section 3.1 sampler every resample marks through, grown to the
-    /// largest degree seen, and its index buffer.
+    /// The Section 3.1 sampler every resample marks through, and its
+    /// index buffer.
     sampler: PosArraySampler,
     indices: Vec<u32>,
 }
