@@ -34,9 +34,9 @@ Graphs are plain-text edge lists: a `n m` header line followed by one
 `u v` line per edge (0-based ids, `#` comments allowed). Omitting --out
 writes the graph to stdout.
 
---threads <T> (1..=64, default 1) sets the worker count for marking
-and sparsifier CSR extraction, capped at the host's hardware threads;
-matching runs on one worker. Marking draws from deterministic
+--threads <T> (1..=64, default 1) sets the worker count for sparsifier
+CSR extraction, capped at the host's hardware threads; marking and
+matching run on one worker. Marking draws from deterministic
 per-vertex RNG streams, so the output depends only on --seed and is
 byte-identical for every thread count. --metrics-json writes the unified work counters (probes,
 RNG draws, overlay writes, ...) as JSON; the file is byte-stable for a
@@ -124,8 +124,9 @@ pub struct SparsifyArgs {
     pub seed: u64,
     /// Output path (stdout if absent).
     pub out: Option<PathBuf>,
-    /// Worker threads (1..=64); the sparsifier output is byte-identical
-    /// for every accepted value.
+    /// Worker threads (1..=64) for the sparsifier's CSR extraction
+    /// (marking runs on one worker); the sparsifier output is
+    /// byte-identical for every accepted value.
     pub threads: usize,
     /// Write work-counter metrics as JSON to this path.
     pub metrics_json: Option<PathBuf>,
@@ -168,9 +169,10 @@ pub struct MatchArgs {
     pub seed: u64,
     /// Print the matched pairs, not just the size.
     pub pairs: bool,
-    /// Worker threads (1..=64) for the mark and extract stages of the
+    /// Worker threads (1..=64) for the extract stage of the
     /// sparsify-and-match pipeline (only meaningful with the sparsify
-    /// algo); the matching is identical for every accepted value.
+    /// algo; marking and matching run on one worker); the matching is
+    /// identical for every accepted value.
     pub threads: usize,
     /// Write work-counter metrics as JSON to this path.
     pub metrics_json: Option<PathBuf>,

@@ -11,9 +11,7 @@ use sparsimatch_core::backend::Backend;
 use sparsimatch_core::edcs::EdcsParams;
 use sparsimatch_core::params::SparsifierParams;
 use sparsimatch_core::scratch::PipelineScratch;
-use sparsimatch_core::sparsifier::{
-    build_sparsifier_parallel_metered, ThreadCountError, MAX_THREADS,
-};
+use sparsimatch_core::sparsifier::{build_sparsifier_parallel_metered, ThreadCountError};
 use sparsimatch_distsim::algorithms::pipeline::{distributed_matching, DistAlgo};
 use sparsimatch_distsim::{FaultPlan, FaultRates, ResilienceParams};
 use sparsimatch_graph::analysis::arboricity::{arboricity_bounds, degeneracy};
@@ -355,14 +353,7 @@ pub fn distsim(args: DistsimArgs, out: Out<'_>) -> Result<(), CliError> {
             "--crash-period must be at least 1".into(),
         ));
     }
-    if !(1..=MAX_THREADS).contains(&args.threads) {
-        return Err(CliError::Threads(
-            ThreadCountError {
-                requested: args.threads,
-            }
-            .to_string(),
-        ));
-    }
+    ThreadCountError::check(args.threads)?;
     let g = read_edge_list_file(&args.input)?;
     let rates = FaultRates {
         drop: args.drop,
@@ -489,14 +480,7 @@ pub fn check(args: CheckArgs, out: Out<'_>) -> Result<(), CliError> {
 /// nothing to `out`; start/stop notices go to stderr. Daemon runtime
 /// failures (bind/accept errors) map to [`CliError::Serve`] (exit 9).
 pub fn serve(args: ServeArgs, _out: Out<'_>) -> Result<(), CliError> {
-    if !(1..=MAX_THREADS).contains(&args.threads) {
-        return Err(CliError::Threads(
-            ThreadCountError {
-                requested: args.threads,
-            }
-            .to_string(),
-        ));
-    }
+    ThreadCountError::check(args.threads)?;
     if args.queue_cap == 0 {
         return Err(CliError::InvalidParam(
             "--queue-cap must be at least 1".into(),

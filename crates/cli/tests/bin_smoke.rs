@@ -399,8 +399,8 @@ fn match_metrics_counters_are_pinned_per_backend() {
 /// `sparsify` stdout (the `G_Δ` edge list) and its `meter.counters`,
 /// pinned at `--threads` 1, 2 and 4: an FNV-1a hash plus the line count
 /// of stdout, and the counters key for key. The input's `G_Δ` is above
-/// the parallel-extraction cutoff, so t > 1 runs the parallel mark and
-/// layout.
+/// the parallel-extraction cutoff, so t > 1 runs the parallel layout
+/// (marking runs on one worker at every thread count).
 #[test]
 fn sparsify_stdout_and_counters_are_pinned_per_thread_count() {
     const STDOUT: (u64, usize) = (2212288198467228330, 22954);

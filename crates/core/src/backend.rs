@@ -26,62 +26,31 @@
 //!   randomness-free, but construction reads every edge — the opposite
 //!   trade-off from `G_Δ`'s sublinear randomized marking.
 //!
-//! Mark and extract run on the requested thread count, clamped to the
-//! host's hardware threads; the match stage's greedy is one sequential
-//! scan. Every stage is deterministic for a fixed seed, so the output is
-//! byte-identical for any accepted thread count (marking uses per-vertex
-//! seeded RNG streams and extraction produces the sequential CSR
-//! layout).
+//! Marking runs on one worker and the match stage's greedy is one
+//! sequential scan; only CSR extraction takes the requested thread count,
+//! which [`CsrScratch::rebuild_from_marked`] caps at the host's hardware
+//! threads. Every stage is deterministic for a fixed seed, so the output
+//! is byte-identical for any accepted thread count (marking uses
+//! per-vertex seeded RNG streams and extraction produces the sequential
+//! CSR layout).
+//!
+//! [`CsrScratch::rebuild_from_marked`]: sparsimatch_graph::csr::CsrScratch::rebuild_from_marked
 
 use crate::edcs::{build_edcs, build_edcs_streamed, mark_edcs_into, EdcsParams};
 use crate::params::SparsifierParams;
 use crate::pipeline::{match_stage, stage_eps, stage_params, PipelineResult};
 use crate::scratch::PipelineScratch;
-use crate::sparsifier::{
-    build_sparsifier_parallel, mark_edges, MarkSummary, ThreadCountError, MAX_THREADS,
-};
+use crate::sparsifier::{build_sparsifier_parallel, mark_edges, MarkSummary, ThreadCountError};
 use crate::stream_build::{
     build_sparsifier_streamed, RetryPolicy, StreamBuildError, StreamBuildReport,
 };
 use sparsimatch_graph::adjacency::ProbeCounts;
-use sparsimatch_graph::csr::{CsrGraph, PARALLEL_LAYOUT_CUTOFF};
+use sparsimatch_graph::csr::CsrGraph;
 use sparsimatch_graph::edge_stream::EdgeStreamSource;
 use sparsimatch_matching::blossom::BlossomSearcher;
 use sparsimatch_matching::Matching;
 use sparsimatch_obs::{keys, WorkMeter};
-use std::sync::OnceLock;
 use std::time::Instant;
-
-/// Below this many *input* edges the mark stage ignores the requested
-/// thread count and runs sequentially: worker spawn plus shard merge
-/// overhead exceeds the marking work itself.
-const MARK_PARALLEL_CUTOFF: usize = 1 << 17;
-
-/// Below this many *marked* edges the extract stage runs sequentially —
-/// the cutoff [`CsrScratch::rebuild_from_marked`] applies itself.
-///
-/// [`CsrScratch::rebuild_from_marked`]: sparsimatch_graph::csr::CsrScratch::rebuild_from_marked
-const EXTRACT_PARALLEL_CUTOFF: usize = PARALLEL_LAYOUT_CUTOFF;
-
-/// The host's hardware thread count (cached; 1 when it cannot be read).
-fn host_threads() -> usize {
-    static CACHE: OnceLock<usize> = OnceLock::new();
-    *CACHE.get_or_init(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
-}
-
-/// Adaptive dispatch, the one place the mark and extract stages of
-/// [`Backend::solve`] pick their worker count: the count a stage should
-/// actually use for `work_items` units of work, given the caller asked
-/// for `requested` threads — never more than the host runs at once, and
-/// one below `cutoff`. Every stage is thread-count invariant, so the
-/// count changes only the wall clock, never the output.
-fn stage_threads(requested: usize, work_items: usize, cutoff: usize) -> usize {
-    if work_items < cutoff {
-        1
-    } else {
-        requested.min(host_threads())
-    }
-}
 
 /// Which backend to run — the value the CLI's `--backend` flag, the
 /// serve wire protocol's `backend` field, and the check harness's
@@ -246,14 +215,16 @@ impl Backend {
     /// `&mut PipelineScratch::new()` and clones the result.
     ///
     /// The result depends only on `seed` — never on `threads`, which
-    /// sets the worker count for the `delta` mark and extract stages
-    /// (the EDCS fixpoint is sequential: its pass order is the
-    /// determinism contract). Rejects `threads` outside
-    /// `1..=`[`MAX_THREADS`] with a [`ThreadCountError`].
+    /// sets the worker count for `delta`'s CSR extraction, capped at the
+    /// host's hardware threads (marking and greedy run on one worker, and
+    /// the EDCS fixpoint is sequential: its pass order is the determinism
+    /// contract). Rejects `threads` outside
+    /// `1..=`[`MAX_THREADS`](crate::sparsifier::MAX_THREADS) with a
+    /// [`ThreadCountError`].
     ///
     /// **Passthrough.** `delta`'s mark stage starts with one degree pass
-    /// (the ledger's first `n` degree probes; at one worker it also sizes
-    /// the sampler). When the largest degree is at most the stage
+    /// (the ledger's first `n` degree probes; it also sizes the sampler).
+    /// When the largest degree is at most the stage
     /// `mark_cap`, every vertex would mark its whole neighborhood
     /// (Theorem 2.1's `deg ≤ 2Δ` rule), so `G_Δ = G`: the solve skips
     /// marking and extraction and matches on `g` itself. The result is
@@ -282,9 +253,7 @@ impl Backend {
     ) -> Result<&'s PipelineResult, ThreadCountError> {
         // Reject bad thread counts up front: the stages below only ever
         // see validated worker counts.
-        if threads == 0 || threads > MAX_THREADS {
-            return Err(ThreadCountError { requested: threads });
-        }
+        ThreadCountError::check(threads)?;
         let total_start = Instant::now();
         let PipelineScratch {
             sampler,
@@ -301,8 +270,8 @@ impl Backend {
 
         // Stage 1: mark — the only backend-specific step. It fills the
         // sorted kept edge ids (unless `G_Δ = G`), the sparsifier stats,
-        // and the probes, and fixes the worker count the extract stage
-        // runs with.
+        // and the probes, and fixes the thread count the extract stage is
+        // asked for.
         let mark_start = Instant::now();
         let (threads, sampler_work, passthrough) = match self {
             Backend::Delta(params) => {
@@ -314,11 +283,8 @@ impl Backend {
                     MarkSummary::keep_all(g, &params)
                 } else {
                     branches.marking += 1;
-                    let workers = stage_threads(threads, g.num_edges(), MARK_PARALLEL_CUTOFF);
-                    if workers == 1 {
-                        sampler.ensure_capacity(max_degree);
-                    }
-                    mark_edges(g, &params, seed, workers, sampler, indices, ids)
+                    sampler.ensure_capacity(max_degree);
+                    mark_edges(g, &params, seed, sampler, indices, ids)
                 };
                 result.sparsifier = marks.stats;
                 result.probes = marks.probes(g.num_vertices());
@@ -343,14 +309,14 @@ impl Backend {
         let mark_nanos = mark_start.elapsed().as_nanos();
 
         // Stage 2: extract the sparsifier CSR (byte-identical to the
-        // sequential layout for any worker count). Under passthrough the
-        // rebuild would reproduce `g`, so the match stage reads `g`.
+        // sequential layout for any worker count; the rebuild picks its
+        // own). Under passthrough the rebuild would reproduce `g`, so the
+        // match stage reads `g`.
         let extract_start = Instant::now();
         let sparse: &CsrGraph = if passthrough {
             g
         } else {
-            let workers = stage_threads(threads, ids.len(), EXTRACT_PARALLEL_CUTOFF);
-            csr.rebuild_from_marked(g, ids, workers)
+            csr.rebuild_from_marked(g, ids, threads)
         };
         result.sparsifier.edges = sparse.num_edges();
         let extract_nanos = extract_start.elapsed().as_nanos();
@@ -685,24 +651,6 @@ mod tests {
                 assert!(built.graph == *g, "input {i} at t = {threads}");
             }
             assert!(solve_matches_marking_reference(g, &p, 5), "input {i}");
-        }
-    }
-
-    #[test]
-    fn dispatch_never_exceeds_the_host() {
-        let host = host_threads();
-        assert!(host >= 1);
-        for requested in 1..=MAX_THREADS {
-            for work in [
-                0,
-                MARK_PARALLEL_CUTOFF - 1,
-                MARK_PARALLEL_CUTOFF,
-                usize::MAX,
-            ] {
-                let t = stage_threads(requested, work, MARK_PARALLEL_CUTOFF);
-                assert!((1..=host.min(requested)).contains(&t), "{requested} {work}");
-            }
-            assert_eq!(stage_threads(requested, usize::MAX, 1), requested.min(host));
         }
     }
 

@@ -20,9 +20,9 @@
 //!   distributed, MPC and dynamic-network simulators, and the dynamic
 //!   matchers.
 //! * [`sparsifier`] — the `G_Δ` construction with size/arboricity
-//!   accounting (Observations 2.10 and 2.12): one marking kernel per
-//!   randomness model — per-vertex seeded streams (run inline or once per
-//!   worker) and one shared RNG stream over any adjacency oracle.
+//!   accounting (Observations 2.10 and 2.12): one marking loop per
+//!   randomness model — per-vertex seeded streams and one shared RNG
+//!   stream over any adjacency oracle.
 //! * [`solomon`] — Solomon's ITCS'18 bounded-degree sparsifier for
 //!   bounded-arboricity graphs (deterministic, mutual marking).
 //! * [`composed`] — the two-round composition `G̃_Δ` of Section 3.2:

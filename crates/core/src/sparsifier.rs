@@ -13,15 +13,13 @@ use sparsimatch_graph::adjacency::{AdjacencyOracle, ProbeCounts};
 use sparsimatch_graph::csr::{from_marked_edges, CsrGraph};
 use sparsimatch_graph::ids::{EdgeId, VertexId};
 use sparsimatch_obs::{keys, WorkMeter};
-use std::ops::Range;
 
 /// Maximum accepted thread count for [`build_sparsifier_parallel`].
 ///
-/// The cap is a sanity bound, not a memory-safety requirement: each worker
-/// allocates only a sampler overlay sized to the largest degree in its own
-/// vertex range plus a mark buffer proportional to the marks it places, so
-/// oversubscribing the host merely wastes scheduling — it cannot blow up
-/// memory. Requests outside `1..=MAX_THREADS` are still rejected with
+/// The cap is a sanity bound, not a memory-safety requirement: marking
+/// runs on one worker, and extraction never runs more workers than the
+/// host has hardware threads, each holding one per-vertex degree array.
+/// Requests outside `1..=MAX_THREADS` are still rejected with
 /// [`ThreadCountError`] rather than silently clamped, because a wildly
 /// out-of-range request is almost certainly a caller bug.
 pub const MAX_THREADS: usize = 64;
@@ -31,6 +29,18 @@ pub const MAX_THREADS: usize = 64;
 pub struct ThreadCountError {
     /// The rejected request.
     pub requested: usize,
+}
+
+impl ThreadCountError {
+    /// The one thread-range check: `Ok` for `threads` in
+    /// `1..=`[`MAX_THREADS`], otherwise the error naming the request.
+    pub fn check(threads: usize) -> Result<(), ThreadCountError> {
+        if (1..=MAX_THREADS).contains(&threads) {
+            Ok(())
+        } else {
+            Err(ThreadCountError { requested: threads })
+        }
+    }
 }
 
 impl std::fmt::Display for ThreadCountError {
@@ -166,11 +176,13 @@ pub fn mark_shared_rng<G: AdjacencyOracle>(
     stats
 }
 
-/// Parallel `G_Δ` construction: per-vertex marking is embarrassingly
-/// parallel once each vertex draws from its own deterministically seeded
-/// RNG ([`vertex_rng`] — exactly the independence the analysis requires
-/// anyway, and the same seeding the distributed protocol uses). The
-/// output is identical for any thread count.
+/// Seeded `G_Δ` construction: every vertex draws from its own
+/// deterministically seeded RNG ([`vertex_rng`] — exactly the
+/// independence the analysis requires anyway, and the same seeding the
+/// distributed protocol uses). Marking runs on one worker; `threads` is
+/// the worker count of the CSR extraction ([`from_marked_edges`], capped
+/// at the host's hardware threads). The output is identical for any
+/// thread count.
 ///
 /// Rejects `threads` outside `1..=`[`MAX_THREADS`] with a
 /// [`ThreadCountError`] (no silent clamping).
@@ -185,8 +197,7 @@ pub fn build_sparsifier_parallel(
 
 /// [`build_sparsifier_parallel`] with unified work accounting: adjacency
 /// probes, sparsifier size, and the sampler's RNG draws and overlay
-/// writes land in `meter` (see [`sparsimatch_obs::keys`]). Per-worker
-/// counters are summed before mirroring, so the metered totals are also
+/// writes land in `meter` (see [`sparsimatch_obs::keys`]); the totals are
 /// thread-count invariant.
 pub fn build_sparsifier_parallel_metered(
     g: &CsrGraph,
@@ -195,18 +206,13 @@ pub fn build_sparsifier_parallel_metered(
     threads: usize,
     meter: &mut WorkMeter,
 ) -> Result<Sparsifier, ThreadCountError> {
-    if threads == 0 || threads > MAX_THREADS {
-        return Err(ThreadCountError { requested: threads });
-    }
+    ThreadCountError::check(threads)?;
     let mut ids = Vec::new();
-    // One worker marks inline on this sampler; more size their own.
-    let max_degree = if threads == 1 { g.max_degree() } else { 0 };
     let marks = mark_edges(
         g,
         params,
         seed,
-        threads,
-        &mut PosArraySampler::new(max_degree),
+        &mut PosArraySampler::new(g.max_degree()),
         &mut Vec::new(),
         &mut ids,
     );
@@ -218,9 +224,8 @@ pub fn build_sparsifier_parallel_metered(
     })
 }
 
-/// What a seeded marking run reports: its statistics plus the sampler
-/// work it performed. Per-range summaries add up, so totals are
-/// thread-count invariant.
+/// What a seeded marking run ([`mark_edges`]) reports: its statistics
+/// plus the sampler work it performed.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct MarkSummary {
     /// Marking statistics; `edges` is the deduplicated marked-edge count.
@@ -275,20 +280,19 @@ impl MarkSummary {
     }
 }
 
-/// The seeded marking kernel: every vertex in `range` marks with its own
-/// [`vertex_rng`] stream, and `keep` ends up holding the range's marked
-/// edge ids, sorted and deduplicated. The marks depend on `seed` alone,
-/// never on how the vertex set is split, which is what makes every
-/// thread count byte-identical. `sampler` must cover the range's
-/// largest degree.
-fn mark_range(
+/// Stage 1 (mark) of the seeded build, the one seeded marking loop: every
+/// vertex of `g`, in id order, marks with its own [`vertex_rng`] stream,
+/// and `ids` ends up holding the marked edge ids, sorted and
+/// deduplicated. Runs on the caller's buffers — allocation-free once they
+/// have capacity — and needs `sampler` to cover `g`'s largest degree
+/// already: the caller sizes it from the degree pass it runs anyway.
+pub(crate) fn mark_edges(
     g: &CsrGraph,
     params: &SparsifierParams,
     seed: u64,
-    range: Range<usize>,
     sampler: &mut PosArraySampler,
     indices: &mut Vec<u32>,
-    keep: &mut Vec<EdgeId>,
+    ids: &mut Vec<EdgeId>,
 ) -> MarkSummary {
     let (draws_before, writes_before) = (sampler.rng_draws(), sampler.overlay_writes());
     let mut stats = SparsifierStats {
@@ -296,8 +300,8 @@ fn mark_range(
         mark_cap: params.mark_cap(),
         ..Default::default()
     };
-    keep.clear();
-    for v in range {
+    ids.clear();
+    for v in 0..g.num_vertices() {
         let vid = VertexId::new(v);
         let deg = g.degree(vid);
         if deg <= params.mark_cap() {
@@ -306,175 +310,16 @@ fn mark_range(
         let mut rng = vertex_rng(seed, v);
         sampler.mark_indices(deg, params.delta, params.mark_cap(), &mut rng, indices);
         stats.marks_placed += indices.len();
-        keep.extend(indices.iter().map(|&i| g.incident_edge(vid, i as usize)));
+        ids.extend(indices.iter().map(|&i| g.incident_edge(vid, i as usize)));
     }
-    keep.sort_unstable();
-    keep.dedup();
-    stats.edges = keep.len();
+    ids.sort_unstable();
+    ids.dedup();
+    stats.edges = ids.len();
     MarkSummary {
         stats,
         rng_draws: sampler.rng_draws() - draws_before,
         overlay_writes: sampler.overlay_writes() - writes_before,
     }
-}
-
-/// Stage 1 (mark) of the seeded build into `ids`: sorted, deduplicated
-/// marked edge ids. One worker runs [`mark_range`] inline on the caller's
-/// buffers — allocation-free once they have capacity — and needs
-/// `sampler` to cover `g`'s largest degree already: the caller sizes it
-/// from the degree pass it runs anyway. More workers split the vertices
-/// into `threads` contiguous ranges, each on buffers of its own sized
-/// from its range, and merge their id lists. The output is identical
-/// either way. `threads` must already be validated.
-pub(crate) fn mark_edges(
-    g: &CsrGraph,
-    params: &SparsifierParams,
-    seed: u64,
-    threads: usize,
-    sampler: &mut PosArraySampler,
-    indices: &mut Vec<u32>,
-    ids: &mut Vec<EdgeId>,
-) -> MarkSummary {
-    let n = g.num_vertices();
-    if threads == 1 {
-        return mark_range(g, params, seed, 0..n, sampler, indices, ids);
-    }
-    let chunk = n.div_ceil(threads).max(1);
-    let shards: Vec<(Vec<EdgeId>, MarkSummary)> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..n)
-            .step_by(chunk)
-            .map(|lo| {
-                let hi = (lo + chunk).min(n);
-                s.spawn(move || {
-                    // Size the sampler overlay to this worker's own range,
-                    // not the global max degree: a star hub inflates one
-                    // worker's overlay, not all of them.
-                    let (local_max_deg, mark_bound) = mark_sizing(g, lo..hi, params.mark_cap());
-                    let mut sampler = PosArraySampler::new(local_max_deg.max(1));
-                    let mut indices = Vec::with_capacity(params.mark_cap().max(1));
-                    let mut keep = Vec::with_capacity(mark_bound);
-                    let summary = mark_range(
-                        g,
-                        params,
-                        seed,
-                        lo..hi,
-                        &mut sampler,
-                        &mut indices,
-                        &mut keep,
-                    );
-                    (keep, summary)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            // Safety: join() only errs if the worker panicked; propagating
-            // that as a panic here is the intended failure mode.
-            .map(|h| h.join().expect("sparsifier worker panicked"))
-            .collect()
-    });
-    let mut total = MarkSummary {
-        stats: SparsifierStats {
-            delta: params.delta,
-            mark_cap: params.mark_cap(),
-            ..Default::default()
-        },
-        rng_draws: 0,
-        overlay_writes: 0,
-    };
-    for (_, shard) in &shards {
-        total.stats.marks_placed += shard.stats.marks_placed;
-        total.stats.low_degree_vertices += shard.stats.low_degree_vertices;
-        total.rng_draws += shard.rng_draws;
-        total.overlay_writes += shard.overlay_writes;
-    }
-    let shard_bufs: Vec<Vec<EdgeId>> = shards.into_iter().map(|(keep, _)| keep).collect();
-    merge_mark_shards(&shard_bufs, g.num_edges(), threads, ids);
-    total.stats.edges = ids.len();
-    total
-}
-
-/// Merge per-worker sorted mark buffers into `out`, one globally sorted,
-/// deduplicated edge-id list, with a two-pass count/prefix-sum: pass one
-/// merges each edge-id *bucket* independently in parallel (every worker's
-/// contribution to a bucket is a contiguous subrange found by binary
-/// search), the count/prefix-sum over bucket lengths fixes each bucket's
-/// output offset, and pass two scatters the buckets into place in parallel.
-fn merge_mark_shards(
-    shards: &[Vec<EdgeId>],
-    num_edges: usize,
-    threads: usize,
-    out: &mut Vec<EdgeId>,
-) {
-    out.clear();
-    if num_edges == 0 || shards.is_empty() {
-        return;
-    }
-    if shards.len() == 1 {
-        // Already sorted and deduplicated by the lone worker.
-        out.extend_from_slice(&shards[0]);
-        return;
-    }
-    let bucket_width = num_edges.div_ceil(threads).max(1);
-    let buckets: Vec<Vec<EdgeId>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|b| {
-                let lo = EdgeId::new((b * bucket_width).min(num_edges));
-                let hi = EdgeId::new(((b + 1) * bucket_width).min(num_edges));
-                s.spawn(move || {
-                    // Locate each shard's contribution first so `merged`
-                    // is reserved once instead of grown per shard.
-                    let mut spans = [(0usize, 0usize); MAX_THREADS];
-                    let mut total = 0usize;
-                    for (shard, span) in shards.iter().zip(spans.iter_mut()) {
-                        let start = shard.partition_point(|&e| e < lo);
-                        let end = shard.partition_point(|&e| e < hi);
-                        *span = (start, end);
-                        total += end - start;
-                    }
-                    let mut merged = Vec::with_capacity(total);
-                    for (shard, &(start, end)) in shards.iter().zip(spans.iter()) {
-                        merged.extend_from_slice(&shard[start..end]);
-                    }
-                    merged.sort_unstable();
-                    merged.dedup();
-                    merged
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            // Safety: as above — a join error means the worker panicked.
-            .map(|h| h.join().expect("mark-merge worker panicked"))
-            .collect()
-    });
-    out.resize(buckets.iter().map(Vec::len).sum(), EdgeId(0));
-    // Scatter pass: each bucket owns a disjoint window of the output,
-    // handed out by `split_at_mut` in prefix-sum order.
-    let mut rest = out.as_mut_slice();
-    std::thread::scope(|s| {
-        for bucket in &buckets {
-            let (window, tail) = rest.split_at_mut(bucket.len());
-            rest = tail;
-            s.spawn(move || window.copy_from_slice(bucket));
-        }
-    });
-}
-
-/// One degree pass over `vertices`: the largest degree, which sizes the
-/// sampler overlay, and the mark-count bound `Σ min(deg, mark_cap)`,
-/// which sizes the mark buffer — so neither grows inside the marking
-/// loop.
-fn mark_sizing(
-    g: &impl AdjacencyOracle,
-    vertices: Range<usize>,
-    mark_cap: usize,
-) -> (usize, usize) {
-    vertices
-        .map(|v| g.degree(VertexId::new(v)))
-        .fold((0, 0), |(max_deg, bound), deg| {
-            (max_deg.max(deg), bound + deg.min(mark_cap))
-        })
 }
 
 /// Build the marked edge *list* from any adjacency oracle (no edge ids
@@ -488,7 +333,13 @@ pub fn mark_edges_oracle(
     params: &SparsifierParams,
     rng: &mut impl Rng,
 ) -> Vec<(VertexId, VertexId)> {
-    let (max_deg, mark_bound) = mark_sizing(g, 0..g.num_vertices(), params.mark_cap());
+    // One degree pass sizes the sampler overlay (largest degree) and the
+    // mark buffer (`Σ min(deg, mark_cap)`), so neither grows while marking.
+    let (max_deg, mark_bound) = (0..g.num_vertices())
+        .map(|v| g.degree(VertexId::new(v)))
+        .fold((0, 0), |(max_deg, bound), deg| {
+            (max_deg.max(deg), bound + deg.min(params.mark_cap()))
+        });
     let mut out = Vec::with_capacity(mark_bound);
     mark_shared_rng(
         g,
@@ -517,10 +368,10 @@ mod tests {
     }
 
     #[test]
-    fn inline_mark_equals_sharded_mark() {
-        // The one-worker path runs the kernel inline on the caller's
-        // (reused: dirty, oversized) buffers; sharded runs must reproduce
-        // it exactly — ids, stats, and work counters.
+    fn mark_on_reused_buffers_equals_fresh_buffers() {
+        // The solve arena hands `mark_edges` reused (dirty, oversized)
+        // buffers; they must give exactly what fresh ones give — ids,
+        // stats, and work counters.
         let mut rng = StdRng::seed_from_u64(40);
         let graphs = [
             clique(90),
@@ -536,24 +387,21 @@ mod tests {
         for (i, g) in graphs.iter().enumerate() {
             sampler.ensure_capacity(g.max_degree());
             for seed in [0u64, 17, 99] {
-                let inline = mark_edges(g, &p, seed, 1, &mut sampler, &mut indices, &mut ids);
-                let inline_ids = ids.clone();
-                for threads in [2usize, 4] {
-                    let sharded = mark_edges(
-                        g,
-                        &p,
-                        seed,
-                        threads,
-                        &mut PosArraySampler::new(0),
-                        &mut Vec::new(),
-                        &mut ids,
-                    );
-                    let label = format!("graph {i} seed {seed} threads {threads}");
-                    assert_eq!(inline_ids, ids, "{label}");
-                    assert_eq!(inline.stats, sharded.stats, "{label}");
-                    assert_eq!(inline.rng_draws, sharded.rng_draws, "{label}");
-                    assert_eq!(inline.overlay_writes, sharded.overlay_writes, "{label}");
-                }
+                let reused = mark_edges(g, &p, seed, &mut sampler, &mut indices, &mut ids);
+                let mut fresh_ids = Vec::new();
+                let fresh = mark_edges(
+                    g,
+                    &p,
+                    seed,
+                    &mut PosArraySampler::new(g.max_degree()),
+                    &mut Vec::new(),
+                    &mut fresh_ids,
+                );
+                let label = format!("graph {i} seed {seed}");
+                assert_eq!(ids, fresh_ids, "{label}");
+                assert_eq!(reused.stats, fresh.stats, "{label}");
+                assert_eq!(reused.rng_draws, fresh.rng_draws, "{label}");
+                assert_eq!(reused.overlay_writes, fresh.overlay_writes, "{label}");
             }
         }
     }
@@ -809,8 +657,8 @@ mod tests {
     #[test]
     fn parallel_build_invariant_on_adversarial_families() {
         use sparsimatch_graph::generators::clique_minus_edge;
-        // Star: one hub whose degree dwarfs every per-worker range — the
-        // worker holding the hub sizes its overlay up, the rest stay tiny.
+        // Star: one hub whose degree dwarfs every other vertex's, the
+        // degenerate load-balance case for the parallel extraction.
         assert_thread_count_invariant(&star(5_000), &params(1, 0.5, 3), "star");
         // Lemma 2.13's clique-minus-edge instance.
         assert_thread_count_invariant(

@@ -13,7 +13,7 @@ use sparsimatch_core::backend::Backend;
 use sparsimatch_core::params::SparsifierParams;
 use sparsimatch_core::scratch::PipelineScratch;
 use sparsimatch_graph::csr::CsrGraph;
-use sparsimatch_graph::generators::{bipartite_gnp, clique, clique_union, CliqueUnionConfig};
+use sparsimatch_graph::generators::{bipartite_gnp, clique, clique_union, gnp, CliqueUnionConfig};
 use sparsimatch_obs::alloc::{self, CountingAllocator};
 
 #[global_allocator]
@@ -142,6 +142,25 @@ fn warm_two_thread_passthrough_solve_allocates_nothing() {
     let backend = Backend::Delta(SparsifierParams::practical(2, 0.3));
     let scratch = assert_warm_two_thread_solves_allocate_nothing(&g, backend);
     assert_eq!(scratch.branch_counts().marking, 0);
+}
+
+/// A t = 2 *marking* solve on a large input (`m ≥ 2^17`) whose `G_Δ`
+/// sits below the parallel-extraction cutoff: marking runs on the
+/// arena's buffers at every thread count and extraction on one worker,
+/// so its warm repeats allocate nothing.
+#[test]
+fn warm_two_thread_marking_solve_allocates_nothing() {
+    let g = gnp(2_000, 0.07, &mut StdRng::seed_from_u64(0xBE));
+    assert!(g.num_edges() >= 1 << 17, "{} edges", g.num_edges());
+    let backend = Backend::Delta(SparsifierParams::with_delta(1, 0.5, 2));
+    let scratch = assert_warm_two_thread_solves_allocate_nothing(&g, backend);
+    assert!(scratch.branch_counts().marking > 0);
+    let marked = backend
+        .solve(&g, 7, 2, None, &mut PipelineScratch::new())
+        .unwrap()
+        .sparsifier
+        .edges;
+    assert!(marked < 1 << 14, "{marked} marked edges");
 }
 
 #[test]

@@ -10,7 +10,8 @@
 
 use crate::network::{Net, Outgoing};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
+use sparsimatch_core::sampler::vertex_rng;
 use sparsimatch_graph::ids::VertexId;
 use sparsimatch_matching::Matching;
 
@@ -24,9 +25,7 @@ pub fn israeli_itai_matching<'g>(net: &mut impl Net<'g>, seed: u64) -> (Matching
     let g = net.graph();
     let n = g.num_vertices();
     let mut matching = Matching::new(n);
-    let mut rngs: Vec<StdRng> = (0..n)
-        .map(|v| StdRng::seed_from_u64(seed ^ (v as u64).wrapping_mul(0x9E3779B97F4A7C15)))
-        .collect();
+    let mut rngs: Vec<StdRng> = (0..n).map(|v| vertex_rng(seed, v)).collect();
     let mut iterations = 0u64;
     loop {
         iterations += 1;

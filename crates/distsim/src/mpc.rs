@@ -116,12 +116,11 @@ pub fn mpc_approx_mcm(
     mpc_approx_mcm_sharded(g, params, cfg, seed, 1)
 }
 
-/// [`mpc_approx_mcm`] with the machine-local marking phase executed by
-/// `threads` workers: it is the core's seeded `G_Δ` build,
-/// [`build_sparsifier_parallel`], over that kernel's contiguous vertex
-/// ranges. Marking is a pure per-vertex function of `(seed, v)`, so the
-/// outcome — sparsifier, matching, loads — is byte-identical at every
-/// thread count.
+/// [`mpc_approx_mcm`] with the machine-local marking phase run as the
+/// core's seeded `G_Δ` build, [`build_sparsifier_parallel`], whose CSR
+/// extraction takes `threads` workers. Marking is a pure per-vertex
+/// function of `(seed, v)`, so the outcome — sparsifier, matching,
+/// loads — is byte-identical at every thread count.
 ///
 /// Errs with [`MpcError::Threads`] when `threads` is outside
 /// `1..=`[`sparsimatch_core::sparsifier::MAX_THREADS`].

@@ -7,6 +7,7 @@
 //! lets sparsifier constructions collect "marked" edges without hashing.
 
 use crate::ids::{EdgeId, VertexId};
+use std::sync::OnceLock;
 
 /// Adjacency offsets with a width chosen from the half-edge count.
 ///
@@ -433,8 +434,27 @@ impl<T> SharedSlots<T> {
 /// parallel layout is not worth its thread spawns.
 pub const PARALLEL_LAYOUT_CUTOFF: usize = 1 << 14;
 
+/// The host's hardware thread count (cached; 1 when it cannot be read).
+fn host_threads() -> usize {
+    static CACHE: OnceLock<usize> = OnceLock::new();
+    *CACHE.get_or_init(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
+}
+
+/// The worker count [`CsrScratch::rebuild_from_marked`] runs `m` marked
+/// edges on when asked for `requested`: one below
+/// [`PARALLEL_LAYOUT_CUTOFF`], otherwise `requested` capped at the host's
+/// hardware threads. The layout is thread-count invariant, so the count
+/// changes only the wall clock, never the output.
+fn extract_workers(requested: usize, m: usize) -> usize {
+    if m < PARALLEL_LAYOUT_CUTOFF {
+        1
+    } else {
+        requested.clamp(1, host_threads())
+    }
+}
+
 /// Build the subgraph of `parent` consisting of the given marked edges
-/// with up to `threads` workers: [`CsrScratch::rebuild_from_marked`] on
+/// on up to `threads` workers: [`CsrScratch::rebuild_from_marked`] on
 /// a fresh scratch. `sorted_ids` must be strictly increasing (sorted and
 /// deduplicated) — exactly what the sparsifier's mark stage produces. The
 /// result is byte-identical to
@@ -513,9 +533,11 @@ impl CsrScratch {
 
     /// Rebuild the subgraph of `parent` given by the strictly increasing
     /// `sorted_ids` into this scratch's buffers, reusing their capacity,
-    /// with up to `threads` workers. The one extraction entry point: the
-    /// output is byte-identical for every thread count, and below
-    /// [`PARALLEL_LAYOUT_CUTOFF`] marked edges it runs on one worker.
+    /// on up to `threads` workers. The one extraction entry point and the
+    /// one place a static solve picks a worker count: one below
+    /// [`PARALLEL_LAYOUT_CUTOFF`] marked edges, otherwise `threads`
+    /// capped at the host's hardware threads. The output is
+    /// byte-identical for every thread count.
     pub fn rebuild_from_marked(
         &mut self,
         parent: &CsrGraph,
@@ -526,12 +548,7 @@ impl CsrScratch {
             sorted_ids.windows(2).all(|w| w[0].index() < w[1].index()),
             "marked edge ids must be sorted and distinct"
         );
-        let m = sorted_ids.len();
-        let threads = if m < PARALLEL_LAYOUT_CUTOFF {
-            1
-        } else {
-            threads.clamp(1, m)
-        };
+        let threads = extract_workers(threads, sorted_ids.len());
         if threads == 1 {
             // Edge ids are dense in lexicographic endpoint order, so the
             // mapped endpoint list is already lex-sorted.
@@ -920,6 +937,46 @@ mod tests {
             assert_byte_identical(
                 &seq,
                 &from_marked_edges(&parent, &all_ids(&parent), threads),
+            );
+        }
+    }
+
+    #[test]
+    fn parallel_layout_is_byte_identical_at_every_worker_count() {
+        // `rebuild_from_marked` caps its workers at the host; drive the
+        // parallel layout directly so counts above the host are covered.
+        let n = 200;
+        let dense = from_edges(n, dense_edges(n));
+        let star = from_edges(20_000, (1..20_000).map(|v| (0, v)));
+        for g in [&dense, &star] {
+            let ids = all_ids(g);
+            assert!(ids.len() >= PARALLEL_LAYOUT_CUTOFF);
+            for workers in [2usize, 3, 4, 5, 8] {
+                let mut scratch = CsrScratch::new();
+                scratch.extract_parallel(g, &ids, workers);
+                assert_byte_identical(g, scratch.graph());
+            }
+        }
+    }
+
+    #[test]
+    fn dispatch_never_exceeds_the_host() {
+        let host = host_threads();
+        assert!(host >= 1);
+        for requested in 1..=64 {
+            for m in [
+                0,
+                PARALLEL_LAYOUT_CUTOFF - 1,
+                PARALLEL_LAYOUT_CUTOFF,
+                usize::MAX,
+            ] {
+                let t = extract_workers(requested, m);
+                assert!((1..=host.min(requested)).contains(&t), "{requested} {m}");
+            }
+            assert_eq!(extract_workers(requested, 0), 1);
+            assert_eq!(
+                extract_workers(requested, PARALLEL_LAYOUT_CUTOFF),
+                requested.min(host)
             );
         }
     }

@@ -19,6 +19,7 @@
 //! paths can be differential-tested against each other.
 
 use crate::csr::CsrGraph;
+use crate::fault_hash::{hash3, threshold};
 use crate::io::{parse_line_fields, validate_header, ReadError};
 use std::io::BufRead;
 use std::path::{Path, PathBuf};
@@ -311,33 +312,6 @@ impl std::fmt::Display for IoFaultStats {
             "{} eio, {} short reads, {} torn lines, {} header mutations",
             self.eio, self.short_reads, self.torn_lines, self.header_mutations
         )
-    }
-}
-
-// splitmix64 finalizer — the same decision hash the distsim fault layer
-// uses, so the two chaos surfaces share one determinism story.
-#[inline]
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E3779B97F4A7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
-}
-
-#[inline]
-fn hash3(seed: u64, salt: u64, a: u64, b: u64) -> u64 {
-    mix(mix(mix(seed ^ salt) ^ a) ^ b)
-}
-
-/// Convert a probability to a 65-bit threshold so that `hash < threshold`
-/// holds with probability exactly 0 at `p = 0` and exactly 1 at `p = 1`.
-fn threshold(p: f64) -> u128 {
-    if p <= 0.0 {
-        0
-    } else if p >= 1.0 {
-        1u128 << 64
-    } else {
-        (p * (1u128 << 64) as f64) as u128
     }
 }
 

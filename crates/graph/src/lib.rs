@@ -18,6 +18,8 @@
 //! * [`edge_stream::EdgeStreamSource`] — rescannable lex-sorted edge
 //!   streams (file-backed or in-memory) feeding the out-of-core
 //!   sparsifier build without materializing the parent adjacency.
+//! * [`fault_hash`] — the seeded decision hash every fault plan (stream
+//!   I/O here, message faults in distsim) draws its faults from.
 //! * [`adjlist::AdjListGraph`] — a mutable adjacency structure for the
 //!   fully dynamic setting.
 //! * [`generators`] — graph families of bounded neighborhood independence:
@@ -35,6 +37,7 @@ pub mod analysis;
 pub mod bitset;
 pub mod csr;
 pub mod edge_stream;
+pub mod fault_hash;
 pub mod generators;
 pub mod ids;
 pub mod io;
